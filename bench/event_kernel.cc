@@ -34,7 +34,7 @@
 
 #include "bench_util.hh"
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
+#include "oracle/legacy_event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 

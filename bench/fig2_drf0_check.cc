@@ -9,6 +9,7 @@
 
 #include "bench_util.hh"
 #include "core/drf0_checker.hh"
+#include "oracle/happens_before.hh"
 #include "sim/rng.hh"
 #include "workload/figures.hh"
 

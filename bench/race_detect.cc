@@ -9,13 +9,13 @@
  * is dumped as JSON (default file: BENCH_race_detect.json):
  *
  *  1. per-trace checking on synthetic traces of 100..10k accesses,
- *     race-free and racy, checkTraceBitset() vs checkTrace() — the
- *     tentpole O(n^2/64) -> O(n*P) comparison;
+ *     race-free and racy, the checkTraceBitset() oracle (tests/oracle)
+ *     vs checkTrace() — the O(n^2/64) -> O(n*P) comparison;
  *  2. the sampled program check, online early-exit vs an offline
  *     reference that runs every schedule to completion and race-checks
  *     the full trace with the bitset oracle;
- *  3. end-to-end wo-litmus corpus wall time with the DRF0 verdict memo
- *     on and off (single-threaded, so the delta is the checker's).
+ *  3. one pass of sampled DRF0 checks over the litmus corpus, through
+ *     the runner's Drf0Memo vs checkProgramSampled() directly.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
  * --quick shrinks repetitions and corpus seeds for CI smoke runs; the
@@ -37,8 +37,10 @@
 #include "core/race_detector.hh"
 #include "litmus/compiler.hh"
 #include "litmus/runner.hh"
+#include "oracle/happens_before.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "workload/campaign.hh"
 #include "workload/random_gen.hh"
 
 namespace {
@@ -262,35 +264,46 @@ benchSampledCheck(StatSet &stats, bool quick)
 void
 benchCorpus(StatSet &stats, const std::string &dir, bool quick)
 {
-    benchutil::banner("wo-litmus corpus wall time (threads=1)");
+    benchutil::banner(
+        "Corpus sampled DRF0 check: Drf0Memo vs direct (one pass)");
     std::vector<litmus_dsl::CompiledLitmus> tests;
     for (const std::string &f : litmus_dsl::findLitmusFiles({dir}))
         tests.push_back(litmus_dsl::compileLitmusFile(f));
+    const int schedules = quick ? 50 : 200;
+    const int reps = quick ? 2 : 5;
 
-    litmus_dsl::RunnerOptions options;
-    options.seeds = quick ? 1 : 3;
-    options.threads = 1;
-    options.drf0Schedules = quick ? 50 : 200;
-
-    auto run = [&](bool memo) {
-        options.drf0Memo = memo;
-        litmus_dsl::CorpusReport r = litmus_dsl::runCorpus(tests, options);
-        return r.tests.size();
+    // One pass over the corpus the way runCorpus checks it: a fresh memo
+    // per pass, so only duplicate program bodies within the corpus hit.
+    auto memoPass = [&] {
+        Drf0Memo memo;
+        std::size_t drf0 = 0;
+        for (const litmus_dsl::CompiledLitmus &t : tests)
+            drf0 += memo.check(t.program, schedules, 1).obeysDrf0;
+        return drf0;
     };
-    run(true); // warm-up (page cache, allocator)
-    std::uint64_t memo_ns = bestNs(1, [&] { run(true); });
-    std::uint64_t nomemo_ns = bestNs(1, [&] { run(false); });
+    auto directPass = [&] {
+        std::size_t drf0 = 0;
+        for (const litmus_dsl::CompiledLitmus &t : tests)
+            drf0 += checkProgramSampled(t.program, schedules, 1).obeysDrf0;
+        return drf0;
+    };
+    if (memoPass() != directPass()) {
+        std::cerr << "BUG: memoized and direct corpus verdicts differ\n";
+        std::exit(1);
+    }
+    std::uint64_t memo_ns = bestNs(reps, [&] { memoPass(); });
+    std::uint64_t nomemo_ns = bestNs(reps, [&] { directPass(); });
     stats.set("corpus.tests", tests.size());
-    stats.set("corpus.seeds", static_cast<std::uint64_t>(options.seeds));
+    stats.set("corpus.schedules", static_cast<std::uint64_t>(schedules));
     stats.set("corpus.memo_ns", memo_ns);
     stats.set("corpus.nomemo_ns", nomemo_ns);
     benchutil::Table table({"config", "wall"});
-    table.addRow({"drf0 memo on", fmtNs(memo_ns)});
-    table.addRow({"drf0 memo off", fmtNs(nomemo_ns)});
+    table.addRow({"Drf0Memo::check", fmtNs(memo_ns)});
+    table.addRow({"checkProgramSampled", fmtNs(nomemo_ns)});
     table.print();
-    std::cout << "\n(" << tests.size() << " tests, " << options.seeds
-              << " seeds per cell; full simulation included, so the "
-                 "delta bounds the memo's share)\n";
+    std::cout << "\n(" << tests.size() << " tests, " << schedules
+              << " schedules each, best of " << reps
+              << " passes; verdicts checked identical first)\n";
 }
 
 } // namespace

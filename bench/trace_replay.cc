@@ -36,6 +36,7 @@
 
 #include "bench_util.hh"
 #include "core/drf0_checker.hh"
+#include "oracle/happens_before.hh"
 #include "replay/replay_engine.hh"
 #include "replay/system_replay.hh"
 #include "replay/trace_format.hh"

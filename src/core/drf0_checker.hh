@@ -14,12 +14,11 @@
  *  - checkProgram(): exhaustively enumerate idealized executions of a
  *    program and classify each (the literal Definition 3 quantifier).
  *
- * Race detection runs on the streaming vector-clock engine
- * (core/race_detector.hh): O(n * P) per trace instead of the
- * O(n^2/64) dense happens-before closure, and — for the sampled program
- * check — online, aborting an execution at its first race. The closure
- * (core/happens_before.hh) survives as checkTraceBitset(), the
- * differential oracle and the fallback for artificially cyclic traces.
+ * Race detection runs on the vector-clock engine (core/race_detector.hh),
+ * O(n * P) per trace: checkTrace() is the streaming checker
+ * (core/stream_checker.hh) run over the whole trace in one batch, and the
+ * sampled program check attaches a detector to the interpreter so it can
+ * abort an execution at its first race.
  */
 
 #ifndef WO_CORE_DRF0_CHECKER_HH
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/happens_before.hh"
 #include "core/race_detector.hh"
 #include "core/trace.hh"
 #include "cpu/program.hh"
@@ -41,12 +39,7 @@ struct Drf0TraceReport
 {
     bool raceFree = true;
 
-    /** True if (po U so) was cyclic — impossible for executions of the
-     * idealized or simulated machines, but constructible artificially.
-     * Accesses on a cycle are treated as unordered (so conflicting ones
-     * race), and this flag marks the verdict as degenerate. */
-    bool hbCyclic = false;
-
+    /** Unordered conflicting pairs, by address then id pair. */
     std::vector<Race> races;
 
     /** Render races against @p trace for human consumption. */
@@ -85,15 +78,14 @@ struct Drf0CheckLimits
 };
 
 /** Classify one execution: find every conflicting pair not ordered by the
- * happens-before relation of the trace. Runs the vector-clock engine;
- * falls back to the bitset closure for cyclic (po U so). */
+ * happens-before relation of the trace. Each processor's accesses must be
+ * recorded in program order (poIndex ascending with trace id), as every
+ * machine records them.
+ *
+ * @throws std::invalid_argument if (po U so) is cyclic or a processor's
+ * record order disagrees with its poIndex order — neither can come from
+ * an execution, only from a hand-built trace. */
 Drf0TraceReport checkTrace(const ExecutionTrace &trace);
-
-/** The pre-vector-clock implementation: dense bitset happens-before
- * closure plus an all-pairs conflict scan. O(n^2/64) time and memory —
- * kept as the differential oracle, for small-trace queries, and as the
- * cyclic-trace fallback. Reports the same races as checkTrace(). */
-Drf0TraceReport checkTraceBitset(const ExecutionTrace &trace);
 
 /** Exhaustively check a program over idealized executions
  * (Definition 3). */

@@ -61,11 +61,19 @@ RaceDetector::onAccess(const Access &a)
         // Check against every prior conflicting access here. Each test
         // is an O(1) epoch-vs-clock comparison; hb(h, a) is the only
         // possible ordering since we consume a linear extension.
+        // The clock is read once (record() may reallocate, so reading cp
+        // in the loop reloads it every step) and recording is kept off
+        // the loop's hot path. Both keep this scan compact enough that
+        // its speed does not swing ~2x with where the linker places it.
         const bool readOnly = rd && !wr;
+        const std::vector<std::uint32_t> &clk = cp.components();
+        const std::uint32_t *known = clk.data();
+        const std::size_t nknown = clk.size();
         for (const HistEntry &h : v.hist) {
             if (readOnly && h.readOnly)
                 continue; // two reads never conflict
-            if (h.clock > cp.get(h.proc))
+            const std::size_t q = static_cast<std::size_t>(h.proc);
+            if (h.clock > (q < nknown ? known[q] : 0)) [[unlikely]]
                 record(h.id, a.id);
         }
         v.hist.push_back({c, a.proc, a.id, readOnly});

@@ -93,8 +93,6 @@ class RaceDetector
     /** Accesses consumed since construction/reset. */
     std::uint64_t accessesSeen() const { return seen_; }
 
-    RaceDetectMode mode() const { return mode_; }
-
   private:
     /** A past access at one address, compressed to an epoch. */
     struct HistEntry

@@ -1,19 +1,19 @@
 /**
  * @file
- * Streaming DRF0 checking over a bounded trace window.
+ * Streaming DRF0 checking over a bounded trace window — the one DRF0
+ * trace checker.
  *
- * checkTrace() needs the whole ExecutionTrace resident: it sorts the
- * complete per-proc/per-sync index lists, topologically orders (po U so)
- * and only then feeds the vector-clock detector. This header provides the
- * online replacement used by the trace-replay pipeline: accesses are fed
- * to one long-lived RaceDetector as they become final, the detector's
- * per-proc clocks and per-sync-location release clocks carry happens-
- * before state across window boundaries, and the trace owner retires the
- * consumed prefix with ExecutionTrace::popFront() so resident memory
- * stays O(window) while the verdict stays byte-identical to the
- * whole-trace oracle.
+ * Accesses are fed to one long-lived RaceDetector as they become final;
+ * the detector's per-proc clocks and per-sync-location release clocks
+ * carry happens-before state across window boundaries, and the trace
+ * owner retires the consumed prefix with ExecutionTrace::popFront() so
+ * resident memory stays O(window). checkTrace() is this checker with
+ * nothing fed before finish(): one batch holding the whole trace.
  *
- * Two feeding disciplines:
+ * po is each processor's record (trace id) order, which every machine
+ * keeps equal to program order (checkTrace() verifies it against
+ * poIndex); so is each sync location's commit order.
+ * Three feeding disciplines:
  *  - onAccess(): the caller guarantees it emits a linear extension of
  *    (po U so) — true for the replay engine and the idealized
  *    interpreter, whose execution order is such an extension by
@@ -22,8 +22,11 @@
  *    order and synchronization operations may commit out of issue order.
  *    The drain admits only accesses that are final (commit and gp ticks
  *    patched) and safely below every still-pending commit, then feeds
- *    each batch in a local topological order of (po U so). See the
+ *    each batch in a topological order of its (po U so) edges. See the
  *    implementation notes for the admission horizon.
+ *  - finish(): everything still unfed, as one batch.
+ * A batch whose syncs commit in id order is already in (po U so) order
+ * and is fed in id order without building the edge graph.
  */
 
 #ifndef WO_CORE_STREAM_CHECKER_HH
@@ -43,18 +46,16 @@ class StreamingDrf0Checker
   public:
     /** @p mode FirstRace keeps per-address state to FastTrack epochs —
      * O(addrs * procs) memory regardless of trace length, the scale mode.
-     * AllRaces reproduces the oracle's full race set (per-address history
-     * grows with conflicting accesses; differential testing only). */
+     * AllRaces reports every unordered conflicting pair (per-address
+     * history grows with conflicting accesses; checkTrace() and
+     * differential testing). */
     explicit StreamingDrf0Checker(
         int numProcs, RaceDetectMode mode = RaceDetectMode::FirstRace);
 
-    /** Forget all state for a fresh trace. */
-    void reset(int numProcs);
-
     /**
      * Feed the next access of a stream that is already a linear extension
-     * of (po U so). Ids must arrive densely ascending from 0 (or from the
-     * id after the last reset). Advances the retirement frontier.
+     * of (po U so). Ids must arrive densely ascending from 0. Advances
+     * the retirement frontier.
      */
     void onAccess(const Access &a);
 
@@ -74,9 +75,9 @@ class StreamingDrf0Checker
     /**
      * Consume everything still resident and unfed (end of run: all ticks
      * final). Accesses that never committed sort after every committed
-     * one, matching the whole-trace oracle's syncsAt order. Sets
-     * hbCyclic() instead of ordering if the leftover (po U so) edges are
-     * cyclic (impossible for machine traces, constructible artificially).
+     * one, matching ExecutionTrace::syncsAt order. Sets hbCyclic()
+     * instead of ordering if the leftover (po U so) edges are cyclic
+     * (impossible for machine traces, constructible artificially).
      */
     void finish(const ExecutionTrace &trace);
 
@@ -86,8 +87,8 @@ class StreamingDrf0Checker
     const std::vector<Race> &races() const { return det_.races(); }
 
     /** Races sorted by id pair — the stable form for differential
-     * comparison against the whole-trace oracle (whose addr-major order
-     * needs retired accesses to recompute). */
+     * comparison against checkTrace() (whose addr-major order needs
+     * retired accesses to recompute). */
     std::vector<Race> sortedRaces() const;
 
     bool hbCyclic() const { return hb_cyclic_; }
@@ -95,16 +96,16 @@ class StreamingDrf0Checker
     /** First trace id not yet consumed. */
     int frontier() const { return next_; }
 
-    /** Accesses consumed since construction/reset. */
+    /** Accesses consumed since construction. */
     std::uint64_t consumed() const { return det_.accessesSeen(); }
-
-    RaceDetectMode mode() const { return det_.mode(); }
 
   private:
     bool isFed(int id) const;
-    void markFed(int id);
+    /** Record @p batch (ascending, none fed before) as consumed. */
+    void markFed(const std::vector<int> &batch);
     /** Feed @p batch (resident trace ids, ascending) in a topological
-     * order of its internal (po U so) edges. Returns false on a cycle. */
+     * order of its internal (po U so) edges — id order when that already
+     * is one. Returns false on a cycle. */
     bool feedTopo(const ExecutionTrace &trace, const std::vector<int> &batch);
 
     RaceDetector det_;

@@ -89,6 +89,9 @@ class VectorClock
         std::fill(c_.begin(), c_.end(), 0);
     }
 
+    /** The components, indexed by processor. */
+    const std::vector<std::uint32_t> &components() const { return c_; }
+
     /** Number of allocated components. */
     int size() const { return static_cast<int>(c_.size()); }
 

@@ -572,7 +572,12 @@ Processor::opGloballyPerformed(std::uint64_t id)
         // installed CoverageMap without interning any stats.
         lat_gp_.coverOnly(eq_.now() - rec.issueTick);
     }
-    bool done = rec.committed;
+    // A buffered write counts as committed from insert, but the commit
+    // of its drain may still be on its way: while the write heads the
+    // buffer, opCommitted needs the record and erases it.
+    bool done = rec.committed &&
+                !(rec.fromWriteBuffer && !write_buffer_.empty() &&
+                  write_buffer_.front().id == id);
     if (done)
         ops_.erase(it);
     scheduleAdvance(0);

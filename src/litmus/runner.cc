@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -174,13 +173,8 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
         // Sampled DRF0 verdict gates which policies promise SC results
         // for this program (spin loops rule out exhaustive enumeration).
         // The memo dedupes identical program bodies across the corpus.
-        Drf0ProgramReport drf0 =
-            options.drf0Memo
-                ? drf0_memo.check(test.program, options.drf0Schedules,
-                                  options.baseSeed)
-                : checkProgramSampled(test.program,
-                                      options.drf0Schedules,
-                                      options.baseSeed);
+        Drf0ProgramReport drf0 = drf0_memo.check(
+            test.program, options.drf0Schedules, options.baseSeed);
         tr.drf0 = drf0.obeysDrf0;
         tr.drf0Bounded = drf0.bounded;
 
@@ -209,22 +203,11 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 if (options.coverage)
                     cfg.coverage = &out.cov;
                 try {
-                    // Pooled path: reuse this worker thread's System
-                    // for the cell (a reset replays bit-identically);
-                    // fall back to a stack-local fresh construction
-                    // when pooling is off.
-                    std::optional<System> local;
-                    System *sys_p;
-                    if (options.systemPool) {
-                        sys_p = &workerSystemPool().acquire(
-                            plan.machine->name + "/" +
-                                toString(plan.policy),
-                            test.program, cfg);
-                    } else {
-                        local.emplace(test.program, cfg);
-                        sys_p = &*local;
-                    }
-                    System &sys = *sys_p;
+                    // Reuse this worker thread's System for the cell (a
+                    // reset replays bit-identically).
+                    System &sys = workerSystemPool().acquire(
+                        plan.machine->name + "/" + toString(plan.policy),
+                        test.program, cfg);
                     out.ran = true;
                     out.finished = sys.run();
                     if (out.finished) {
@@ -253,9 +236,9 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                     out.stats = sys.stats();
                     // A pooled instance outlives this job; the trace
                     // buffer and coverage map it may point at do not.
-                    if (options.systemPool && cfg.traceSink)
+                    if (cfg.traceSink)
                         sys.setTraceSink(nullptr);
-                    if (options.systemPool && cfg.coverage)
+                    if (cfg.coverage)
                         sys.setCoverage(nullptr);
                 } catch (const std::invalid_argument &) {
                     out.ran = false; // illegal config for this policy

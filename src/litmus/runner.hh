@@ -68,21 +68,6 @@ struct RunnerOptions
     std::uint64_t maxVerifyStates = 1000000;
     int drf0Schedules = 200;     ///< sampled DRF0 check per test
 
-    /** Memoize sampled DRF0 verdicts by program content hash, so
-     * duplicate program bodies (and repeated corpus passes sharing a
-     * runner) are checked once. Verdicts are unchanged — the memo
-     * returns the identical report. */
-    bool drf0Memo = true;
-
-    /**
-     * Serve each job's System from the worker thread's SystemPool
-     * (keyed by machine/policy cell) instead of constructing fresh.
-     * A reset System replays a job bit-identically, so reports do not
-     * depend on this flag — it exists for differential testing and as
-     * an escape hatch (`wo-litmus --no-pool`).
-     */
-    bool systemPool = true;
-
     /**
      * Structured-trace output stem; empty disables tracing (the
      * default, with zero effect on reports). When set, every job runs

@@ -188,6 +188,10 @@ ReplayEngine::run()
         }
     }
 
+    if (!reader_.ok()) {
+        res.ok = false;
+        res.error = "malformed trace: " + reader_.error();
+    }
     checker_.finish(trace_);
     res.raceFree = checker_.raceFree();
     res.races = checker_.sortedRaces();

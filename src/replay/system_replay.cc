@@ -48,6 +48,8 @@ buildReplayProgram(ReplayTraceReader &reader, const std::string &name)
             }
         }
     }
+    if (!reader.ok())
+        throw std::invalid_argument("malformed trace: " + reader.error());
     reader.rewind();
 
     // Pass 2: code generation. Spin-loop labels are numbered per thread.
@@ -142,31 +144,21 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
         }
     };
 
-    auto finish = [&](System &sys, bool completed) {
-        checker.finish(sys.trace());
-        res.ok = completed;
-        if (!completed)
-            res.error = "replay run did not complete (tick limit?)";
-        res.raceFree = checker.raceFree();
-        res.hbCyclic = checker.hbCyclic();
-        res.races = checker.sortedRaces();
-        res.accesses = checker.consumed();
-        res.eventsRetired = sys.trace().retired();
-        res.windowHighWater = sys.trace().windowHighWater();
-        res.finishTick = sys.finishTick();
-    };
-
-    if (opt.usePool) {
-        std::string key = "replay/" + opt.machine + "/" +
-                          std::to_string(static_cast<int>(opt.policy));
-        System &sys = workerSystemPool().acquire(key, program, cfg);
-        bool completed = sys.runStreaming(opt.chunkTicks, drain);
-        finish(sys, completed);
-    } else {
-        System sys(program, cfg);
-        bool completed = sys.runStreaming(opt.chunkTicks, drain);
-        finish(sys, completed);
-    }
+    std::string key = "replay/" + opt.machine + "/" +
+                      std::to_string(static_cast<int>(opt.policy));
+    System &sys = workerSystemPool().acquire(key, program, cfg);
+    const bool completed = sys.runStreaming(opt.chunkTicks, drain);
+    checker.finish(sys.trace());
+    res.ok = completed;
+    if (!completed)
+        res.error = "replay run did not complete (tick limit?)";
+    res.raceFree = checker.raceFree();
+    res.hbCyclic = checker.hbCyclic();
+    res.races = checker.sortedRaces();
+    res.accesses = checker.consumed();
+    res.eventsRetired = sys.trace().retired();
+    res.windowHighWater = sys.trace().windowHighWater();
+    res.finishTick = sys.finishTick();
     return res;
 }
 

@@ -44,7 +44,8 @@ namespace wo {
  * generators produce).
  *
  * Reads the trace twice (barrier participant counts, then code
- * generation); the reader is rewound before and after.
+ * generation); the reader is rewound before and after. Throws
+ * std::invalid_argument if a record cannot be read (!reader.ok()).
  */
 MultiProgram buildReplayProgram(ReplayTraceReader &reader,
                                 const std::string &name);
@@ -63,9 +64,6 @@ struct SystemReplayOptions
     Tick chunkTicks = 4096;
 
     RaceDetectMode mode = RaceDetectMode::FirstRace;
-
-    /** Acquire the System from the calling worker's SystemPool. */
-    bool usePool = true;
 
     /** Livelock tick limit override; 0 keeps the machine default. */
     Tick maxTicks = 0;

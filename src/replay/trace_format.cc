@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 
 namespace wo {
 
@@ -219,7 +220,7 @@ loadReplayTrace(const std::string &path, ReplayTraceData &out)
         while (r.next(t, rec))
             vec.push_back(rec);
     }
-    return true;
+    return r.ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -228,27 +229,38 @@ loadReplayTrace(const std::string &path, ReplayTraceData &out)
 bool
 ReplayTraceReader::open(const std::string &path)
 {
+    auto fail = [this](const std::string &why) {
+        error_ = why;
+        return false;
+    };
     in_.open(path, std::ios::binary);
     if (!in_)
-        return false;
+        return fail("cannot open file");
+    in_.seekg(0, std::ios::end);
+    const std::uint64_t fileSize = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0);
     char magic[8];
     in_.read(magic, sizeof(magic));
     if (!in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return false;
+        return fail("not a WOTRACE1 file");
     unsigned char hdr[8];
     in_.read(reinterpret_cast<char *>(hdr), 8);
     if (!in_)
-        return false;
+        return fail("truncated header");
     std::uint32_t nthreads = getU32(hdr);
     std::uint32_t ninitial = getU32(hdr + 4);
     if (nthreads == 0 || nthreads > 4096)
-        return false;
+        return fail("bad thread count " + std::to_string(nthreads));
+    const std::uint64_t headerEnd =
+        sizeof(kMagic) + 8 + ninitial * 12ull + nthreads * 16ull;
+    if (headerEnd > fileSize)
+        return fail("truncated header");
     initials_.clear();
     for (std::uint32_t i = 0; i < ninitial; ++i) {
         unsigned char e[12];
         in_.read(reinterpret_cast<char *>(e), 12);
         if (!in_)
-            return false;
+            return fail("truncated header");
         initials_.emplace_back(getU32(e), getU64(e + 4));
     }
     cursors_.assign(nthreads, {});
@@ -257,10 +269,20 @@ ReplayTraceReader::open(const std::string &path)
         unsigned char e[16];
         in_.read(reinterpret_cast<char *>(e), 16);
         if (!in_)
-            return false;
-        cursors_[t].base = getU64(e);
-        cursors_[t].count = getU64(e + 8);
-        total_ += cursors_[t].count;
+            return fail("truncated header");
+        const std::uint64_t base = getU64(e);
+        const std::uint64_t count = getU64(e + 8);
+        // A thread's records must sit between the header and EOF: a
+        // truncated file fails here instead of reading short.
+        if (base < headerEnd || base > fileSize ||
+            count > (fileSize - base) / kRecordBytes)
+            return fail("thread " + std::to_string(t) + "'s " +
+                        std::to_string(count) + " records at offset " +
+                        std::to_string(base) +
+                        " do not fit between the header and EOF");
+        cursors_[t].base = base;
+        cursors_[t].count = count;
+        total_ += count;
     }
     return true;
 }
@@ -284,13 +306,24 @@ ReplayTraceReader::refill(Cursor &c)
     in_.seekg(static_cast<std::streamoff>(c.base + done * kRecordBytes));
     in_.read(reinterpret_cast<char *>(raw.data()),
              static_cast<std::streamsize>(raw.size()));
-    if (!in_)
+    if (!in_) {
+        error_ = "short read at record " + std::to_string(done) +
+                 " of thread " + std::to_string(&c - cursors_.data());
         return false;
+    }
     c.bufStart = done;
     c.buf.clear();
     c.buf.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        c.buf.push_back(decodeRecord(raw.data() + i * kRecordBytes));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const unsigned char *p = raw.data() + i * kRecordBytes;
+        if (p[0] > static_cast<unsigned char>(ReplayOp::BarrierWait)) {
+            error_ = "unknown op byte " + std::to_string(p[0]) +
+                     " at record " + std::to_string(done + i) +
+                     " of thread " + std::to_string(&c - cursors_.data());
+            return false;
+        }
+        c.buf.push_back(decodeRecord(p));
+    }
     c.bufPos = 0;
     return true;
 }

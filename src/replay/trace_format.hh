@@ -150,6 +150,15 @@ class ReplayTraceReader
     /** Restart every thread cursor at its first record. */
     void rewind();
 
+    /** False once open() failed — it rejects a truncated file, one
+     * whose thread table points past EOF or into the header — or once a
+     * record could not be read or carried an unknown op byte, which
+     * also ends that thread's stream early. */
+    bool ok() const { return error_.empty(); }
+
+    /** What went wrong when !ok(). */
+    const std::string &error() const { return error_; }
+
   private:
     struct Cursor
     {
@@ -167,6 +176,7 @@ class ReplayTraceReader
     std::vector<std::pair<Addr, Word>> initials_;
     std::vector<Cursor> cursors_;
     std::uint64_t total_ = 0;
+    std::string error_;
 };
 
 } // namespace wo

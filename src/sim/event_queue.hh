@@ -13,9 +13,8 @@
  * so the steady-state schedule/fire path performs no per-event
  * allocation. The pending set is a binary heap of (tick, seq, record*)
  * triples; ordering is identical to the historical
- * std::priority_queue<std::function> kernel (see
- * sim/legacy_event_queue.hh, kept as the differential oracle), so runs
- * are bit-for-bit identical to it.
+ * std::priority_queue<std::function> kernel (kept under tests/ as the
+ * differential oracle), so runs are bit-for-bit identical to it.
  */
 
 #ifndef WO_SIM_EVENT_QUEUE_HH

@@ -192,9 +192,6 @@ class Campaign
     int numThreads() const { return pool_.numThreads(); }
     std::uint64_t baseSeed() const { return cfg_.baseSeed; }
 
-    /** The underlying pool (e.g. for root-split SC verification). */
-    ThreadPool &pool() { return pool_; }
-
     /** Run fn(job) for each job, results in job-index order. */
     template <class Result>
     std::vector<Result>

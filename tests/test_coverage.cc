@@ -408,15 +408,9 @@ TEST(CoverageRunner, PoolAndThreadCountDoNotChangeCoverage)
     opt.coverage = true;
     opt.policies = {PolicyKind::Sc, PolicyKind::Relaxed};
 
-    struct Cfg
-    {
-        int threads;
-        bool pool;
-    };
     std::vector<std::string> docs;
-    for (Cfg c : {Cfg{1, true}, Cfg{4, true}, Cfg{2, false}}) {
-        opt.threads = c.threads;
-        opt.systemPool = c.pool;
+    for (int threads : {1, 2, 4}) {
+        opt.threads = threads;
         CorpusReport rep = runCorpus(corpus, opt);
         std::ostringstream os;
         writeCoverageReport(os, rep);

@@ -19,6 +19,7 @@
 #include "core/idealized.hh"
 #include "litmus/compiler.hh"
 #include "litmus/runner.hh"
+#include "oracle/happens_before.hh"
 #include "sim/rng.hh"
 #include "workload/campaign.hh"
 #include "workload/random_gen.hh"
@@ -34,7 +35,6 @@ expectEquivalent(const ExecutionTrace &trace, const std::string &what)
     Drf0TraceReport bitset = checkTraceBitset(trace);
     EXPECT_EQ(vc.raceFree, bitset.raceFree) << what;
     EXPECT_EQ(vc.races, bitset.races) << what;
-    EXPECT_EQ(vc.hbCyclic, bitset.hbCyclic) << what;
 }
 
 /** One random-schedule trace of @p mp. */

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
+#include "oracle/happens_before.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 #include "workload/random_gen.hh"

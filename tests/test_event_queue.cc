@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
+#include "oracle/legacy_event_queue.hh"
 #include "sim/rng.hh"
 
 namespace wo {

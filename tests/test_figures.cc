@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
+#include "oracle/happens_before.hh"
 #include "workload/figures.hh"
 
 namespace wo {

@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/drf0_checker.hh"
 #include "core/idealized.hh"
 #include "core/race_detector.hh"
 #include "core/trace.hh"
 #include "core/vector_clock.hh"
 #include "cpu/program_builder.hh"
+#include "oracle/happens_before.hh"
 
 namespace wo {
 namespace {
@@ -262,10 +265,10 @@ TEST(RaceDetector, OnlineAttachmentMatchesOfflineCheck)
     EXPECT_EQ(det.hasRace(), !offline.raceFree);
 }
 
-TEST(Drf0Trace, CyclicHbFallsBackAndIsFlagged)
+TEST(Drf0Trace, CyclicHbIsRejected)
 {
-    // Artificial (po U so) cycle — no machine can produce one, but the
-    // checker must flag it instead of silently reporting a partial
+    // Artificial (po U so) cycle — no machine can produce one, so the
+    // checker must refuse it rather than report a verdict over a partial
     // order: po gives sa->sb and ta->tb while commit ticks give the so
     // edges tb->sa (location 100) and sb->ta (location 101).
     ExecutionTrace t;
@@ -273,11 +276,35 @@ TEST(Drf0Trace, CyclicHbFallsBackAndIsFlagged)
     t.add(mk(0, 1, AccessKind::SyncWrite, 101, 1));
     t.add(mk(1, 0, AccessKind::SyncWrite, 101, 5));
     t.add(mk(1, 1, AccessKind::SyncWrite, 100, 2));
-    Drf0TraceReport vc = checkTrace(t);
-    Drf0TraceReport bitset = checkTraceBitset(t);
-    EXPECT_TRUE(vc.hbCyclic);
-    EXPECT_TRUE(bitset.hbCyclic);
-    EXPECT_EQ(vc.raceFree, bitset.raceFree);
+    EXPECT_FALSE(HappensBefore(t).acyclic());
+    EXPECT_THROW(checkTrace(t), std::invalid_argument);
+}
+
+TEST(Drf0Trace, RecordOrderAgainstPoIndexIsRejected)
+{
+    // P0's two records arrive opposite to their poIndex. By poIndex
+    // (the oracle's po) P0 releases s and only then writes x, so the
+    // write races with P1's read after acquiring s; by record order the
+    // write precedes the release and nothing races. checkTrace takes po
+    // from record order, so it must refuse the trace, not answer
+    // differently from the oracle.
+    ExecutionTrace t;
+    t.add(mk(0, 1, AccessKind::DataWrite, 0, 1)); // P0 po 1: x = 1
+    t.add(mk(0, 0, AccessKind::SyncWrite, 1, 2)); // P0 po 0: release s
+    t.add(mk(1, 0, AccessKind::SyncRmw, 1, 3));   // P1: acquire s
+    t.add(mk(1, 1, AccessKind::DataRead, 0, 4));  // P1: read x
+    EXPECT_FALSE(checkTraceBitset(t).raceFree);
+    EXPECT_THROW(checkTrace(t), std::invalid_argument);
+
+    // The same accesses recorded in program order: both checkers agree.
+    ExecutionTrace ordered;
+    ordered.add(mk(0, 0, AccessKind::SyncWrite, 1, 2));
+    ordered.add(mk(0, 1, AccessKind::DataWrite, 0, 1));
+    ordered.add(mk(1, 0, AccessKind::SyncRmw, 1, 3));
+    ordered.add(mk(1, 1, AccessKind::DataRead, 0, 4));
+    Drf0TraceReport vc = checkTrace(ordered);
+    Drf0TraceReport bitset = checkTraceBitset(ordered);
+    EXPECT_FALSE(vc.raceFree);
     EXPECT_EQ(vc.races, bitset.races);
 }
 

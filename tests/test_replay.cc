@@ -8,16 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/drf0_checker.hh"
 #include "cpu/program_builder.hh"
+#include "oracle/happens_before.hh"
 #include "replay/capture.hh"
 #include "replay/replay_engine.hh"
 #include "replay/system_replay.hh"
@@ -147,6 +151,129 @@ TEST(ReplayFormat, ReaderRefillsAcrossBufferBoundary)
     }
     EXPECT_FALSE(r.next(0, rec));
 }
+
+/** Overwrite @p path with @p bytes. */
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Little-endian u64 at @p off of @p bytes. */
+std::uint64_t
+u64At(const std::string &bytes, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+                 bytes[off + static_cast<std::size_t>(i)]))
+             << (8 * i);
+    return v;
+}
+
+/** A 4-thread spinlock trace's bytes, and the file offset of its thread
+ * table (after magic, counts and initials). */
+std::string
+spinlockBytes(const std::string &path, std::size_t &tableOff)
+{
+    TraceGenConfig cfg;
+    cfg.rounds = 50;
+    EXPECT_TRUE(writeWorkloadTrace("spinlock", path, cfg));
+    std::string bytes = slurp(path);
+    const std::uint64_t ninitial = u64At(bytes, 8) >> 32;
+    tableOff = 16 + static_cast<std::size_t>(ninitial) * 12;
+    return bytes;
+}
+
+TEST(ReplayFormat, TruncatedTracesAreRejected)
+{
+    // Cutting a trace anywhere — inside the header, the thread table or
+    // the record arrays — must fail open(), not read as a shorter trace.
+    TempTrace src("trunc_src"), cut("trunc_cut");
+    std::size_t tableOff = 0;
+    const std::string bytes = spinlockBytes(src.path(), tableOff);
+    ReplayTraceReader whole;
+    ASSERT_TRUE(whole.open(src.path()));
+    for (std::size_t keep :
+         {std::size_t{4}, std::size_t{12}, tableOff + 20, tableOff + 64,
+          bytes.size() / 2, bytes.size() - 13, bytes.size() - 1}) {
+        spit(cut.path(), bytes.substr(0, keep));
+        ReplayTraceReader r;
+        EXPECT_FALSE(r.open(cut.path()))
+            << "kept " << keep << " of " << bytes.size() << " bytes";
+        ReplayTraceData data;
+        EXPECT_FALSE(loadReplayTrace(cut.path(), data)) << keep;
+    }
+}
+
+TEST(ReplayFormat, ThreadTableIntoHeaderIsRejected)
+{
+    TempTrace src("table_src");
+    std::size_t tableOff = 0;
+    std::string bytes = spinlockBytes(src.path(), tableOff);
+    // Thread 0's records "start" inside the thread table itself.
+    bytes[tableOff] = static_cast<char>(tableOff & 0xff);
+    for (int i = 1; i < 8; ++i)
+        bytes[tableOff + static_cast<std::size_t>(i)] = 0;
+    spit(src.path(), bytes);
+    ReplayTraceReader r;
+    EXPECT_FALSE(r.open(src.path()));
+}
+
+TEST(ReplayFormat, UnknownOpByteIsRejected)
+{
+    TempTrace src("opbyte_src");
+    std::size_t tableOff = 0;
+    std::string bytes = spinlockBytes(src.path(), tableOff);
+    // Thread 1's first record gets an op byte past the last ReplayOp.
+    const std::uint64_t base1 = u64At(bytes, tableOff + 16);
+    bytes[static_cast<std::size_t>(base1)] = static_cast<char>(0x2a);
+    spit(src.path(), bytes);
+
+    ReplayTraceReader r;
+    ASSERT_TRUE(r.open(src.path())); // the header itself is sound
+    ReplayEngine engine(r, {});
+    ReplayResult res = engine.run();
+    EXPECT_FALSE(res.ok);
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("unknown op byte 42"), std::string::npos)
+        << r.error();
+    EXPECT_NE(res.error.find("unknown op byte"), std::string::npos)
+        << res.error;
+
+    ReplayTraceReader again;
+    ASSERT_TRUE(again.open(src.path()));
+    EXPECT_THROW(buildReplayProgram(again, "bad"), std::invalid_argument);
+    ReplayTraceData data;
+    EXPECT_FALSE(loadReplayTrace(src.path(), data));
+}
+
+#ifdef WO_REPLAY_BIN
+TEST(WoReplayTool, MalformedTracesExitTwo)
+{
+    TempTrace src("tool_src"), cut("tool_cut"), bad("tool_bad");
+    std::size_t tableOff = 0;
+    std::string bytes = spinlockBytes(src.path(), tableOff);
+    spit(cut.path(), bytes.substr(0, bytes.size() / 2));
+    bytes[static_cast<std::size_t>(u64At(bytes, tableOff))] =
+        static_cast<char>(0xff);
+    spit(bad.path(), bytes);
+    auto exitOf = [](const std::string &args) {
+        std::string cmd = std::string(WO_REPLAY_BIN) + " " + args +
+                          " > /dev/null 2> /dev/null";
+        int rc = std::system(cmd.c_str());
+        EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+        return WEXITSTATUS(rc);
+    };
+    EXPECT_EQ(exitOf("info " + src.path()), 0);
+    for (const std::string *f : {&cut.path(), &bad.path()}) {
+        EXPECT_EQ(exitOf("info " + *f), 2) << *f;
+        EXPECT_EQ(exitOf("verify " + *f), 2) << *f;
+        EXPECT_EQ(exitOf("sim " + *f), 2) << *f;
+    }
+}
+#endif // WO_REPLAY_BIN
 
 TEST(ReplayGen, DeterministicAndDistinct)
 {

@@ -19,14 +19,6 @@
  *   --list-machines  print the machine registry and exit
  *   --json[=FILE]    write a JSON report (to FILE, else stdout)
  *   --no-verify      skip per-run SC verification
- *   --no-drf0-memo   re-run the sampled DRF0 check for every test
- *                    instead of memoizing verdicts by program content
- *                    (the memo never changes a verdict — this flag
- *                    exists for timing comparisons and debugging)
- *   --no-pool        construct a fresh System per run instead of
- *                    resetting a pooled per-worker instance (reports
- *                    are byte-identical either way — this flag exists
- *                    for timing comparisons and differential testing)
  *   --axiom-check    differential axiomatic stage (default): fail any
  *                    cell whose observed outcome the policy's bounding
  *                    axiomatic model forbids (witness cycle in the
@@ -80,8 +72,7 @@ usage(std::ostream &os)
           "relaxed]\n"
           "                 [--machines=LIST] [--list-machines]\n"
           "                 [--json[=FILE]] [--no-verify] "
-          "[--no-drf0-memo]\n"
-          "                 [--no-pool] [--no-histograms] [--list]\n"
+          "[--no-histograms] [--list]\n"
           "                 [--axiom-check] [--no-axiom-check]\n"
           "                 [--coverage-report[=FILE]]\n"
           "                 [--trace=STEM] [--trace-filter=LIST]\n"
@@ -175,10 +166,6 @@ main(int argc, char **argv)
             json_file = arg.substr(7);
         } else if (arg == "--no-verify") {
             options.verify = false;
-        } else if (arg == "--no-drf0-memo") {
-            options.drf0Memo = false;
-        } else if (arg == "--no-pool") {
-            options.systemPool = false;
         } else if (arg == "--axiom-check") {
             options.axiomCheck = true;
         } else if (arg == "--no-axiom-check") {

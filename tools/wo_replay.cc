@@ -33,7 +33,8 @@
  *   --json[=FILE]     machine-readable result
  *
  * Exit status: 0 race-free (or gen/info success), 1 races found or replay
- * failed, 2 bad usage / unreadable trace.
+ * failed, 2 bad usage / unreadable or malformed trace (truncated, thread
+ * table out of range, unknown op byte).
  */
 
 #include <fstream>
@@ -186,9 +187,22 @@ cmdInfo(const std::vector<std::string> &args)
         return usage(std::cerr);
     ReplayTraceReader reader;
     if (!reader.open(args[0])) {
-        std::cerr << "wo-replay: cannot read trace " << args[0] << "\n";
+        std::cerr << "wo-replay: cannot read trace " << args[0] << ": "
+                  << reader.error() << "\n";
         return 2;
     }
+    // Read every record once, so a damaged record body fails here too.
+    ReplayRecord r;
+    for (int t = 0; t < reader.numThreads(); ++t) {
+        while (reader.next(t, r)) {
+        }
+    }
+    if (!reader.ok()) {
+        std::cerr << "wo-replay: malformed trace " << args[0] << ": "
+                  << reader.error() << "\n";
+        return 2;
+    }
+    reader.rewind();
     std::cout << args[0] << ": " << reader.numThreads() << " threads, "
               << reader.totalRecords() << " records, "
               << reader.initials().size() << " initial values\n";
@@ -229,11 +243,16 @@ cmdVerify(const std::vector<std::string> &args)
 
     ReplayTraceReader reader;
     if (!reader.open(file)) {
-        std::cerr << "wo-replay: cannot read trace " << file << "\n";
+        std::cerr << "wo-replay: cannot read trace " << file << ": "
+                  << reader.error() << "\n";
         return 2;
     }
     ReplayEngine engine(reader, opt);
     ReplayResult res = engine.run();
+    if (!reader.ok()) {
+        std::cerr << "wo-replay: " << res.error << "\n";
+        return 2;
+    }
     if (!res.ok) {
         std::cerr << "wo-replay: " << res.error << "\n";
         return 1;
@@ -295,7 +314,8 @@ cmdSim(const std::vector<std::string> &args)
 
     ReplayTraceReader reader;
     if (!reader.open(file)) {
-        std::cerr << "wo-replay: cannot read trace " << file << "\n";
+        std::cerr << "wo-replay: cannot read trace " << file << ": "
+                  << reader.error() << "\n";
         return 2;
     }
     SystemReplayResult res;

@@ -8,12 +8,15 @@
 #ifndef WO_BENCH_BENCH_UTIL_HH
 #define WO_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -86,6 +89,109 @@ dumpJsonFile(const StatSet &stats, const std::string &file)
     }
     stats.dumpJson(out);
     out << "\n";
+    std::cout << "\njson written to " << file << "\n";
+}
+
+/** Median and inter-quartile range of a sample. */
+struct Spread
+{
+    double median = 0;
+    double iqr = 0;
+};
+
+/** Spread of @p v; quantiles interpolate linearly between order
+ * statistics (position q * (n - 1)). */
+inline Spread
+spreadOf(std::vector<double> v)
+{
+    if (v.empty())
+        return {};
+    std::sort(v.begin(), v.end());
+    auto q = [&](double f) {
+        double pos = f * static_cast<double>(v.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(pos);
+        std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {q(0.5), q(0.75) - q(0.25)};
+}
+
+/** `git describe --always --dirty` of the working directory, or
+ * "unknown" outside a git checkout. */
+inline std::string
+gitDescribe()
+{
+    std::string out;
+    if (FILE *f = popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[256];
+        if (std::fgets(buf, sizeof buf, f))
+            out = buf;
+        pclose(f);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/** The host CPU's model name (Linux), or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            std::size_t colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size())
+                return line.substr(colon + 2);
+        }
+    }
+    return "unknown";
+}
+
+/** JSON string literal of @p s (quotes and backslashes escaped). */
+inline std::string
+jsonString(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out + "\"";
+}
+
+/**
+ * Dump @p stats inside a provenance envelope: the bench name, the
+ * commit it was built from (`git describe --always --dirty`, run in
+ * the working directory), the build type, the host CPU and thread
+ * count, --quick, and the repetition count behind every median/IQR in
+ * @p stats. Run from the repository root so the commit resolves.
+ */
+inline void
+dumpEnvelopeJson(const StatSet &stats, const std::string &file,
+                 const std::string &bench, bool quick, int reps)
+{
+    std::ofstream out(file);
+    if (!out) {
+        std::cerr << "cannot write " << file << "\n";
+        return;
+    }
+#ifdef WO_BUILD_TYPE
+    const std::string build_type = WO_BUILD_TYPE;
+#else
+    const std::string build_type = "unknown";
+#endif
+    out << "{\n  \"bench\": " << jsonString(bench)
+        << ",\n  \"commit\": " << jsonString(gitDescribe())
+        << ",\n  \"build_type\": " << jsonString(build_type)
+        << ",\n  \"machine\": {\"cpu\": " << jsonString(cpuModel())
+        << ", \"nproc\": " << std::thread::hardware_concurrency()
+        << "},\n  \"quick\": " << (quick ? "true" : "false")
+        << ",\n  \"reps\": " << reps << ",\n  \"stats\": ";
+    stats.dumpJson(out, "", 2);
+    out << "\n}\n";
     std::cout << "\njson written to " << file << "\n";
 }
 

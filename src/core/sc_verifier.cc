@@ -98,11 +98,89 @@ class KeyArenaSet
     std::unordered_set<Ref, Hash, Eq> set_{16, Hash{this}, Eq{this}};
 };
 
+/**
+ * Dense address ids for one trace, interned once and shared by the
+ * observed-order replay and the search: every per-location structure is
+ * a vector indexed by address id, never a std::map.
+ */
+struct AddrIndex
+{
+    std::vector<int> ofAccess; ///< access id -> address id
+    std::vector<Word> initial; ///< address id -> initial value
+
+    explicit AddrIndex(const ExecutionTrace &trace)
+    {
+        std::unordered_map<Addr, int> addrId;
+        addrId.reserve(static_cast<std::size_t>(trace.size()));
+        ofAccess.resize(static_cast<std::size_t>(trace.size()));
+        for (const Access &a : trace.accesses()) {
+            auto [it, fresh] =
+                addrId.emplace(a.addr, static_cast<int>(initial.size()));
+            if (fresh)
+                initial.push_back(trace.initialValue(a.addr));
+            ofAccess[static_cast<std::size_t>(a.id)] = it->second;
+        }
+    }
+};
+
+/**
+ * Replay the execution in the order the machine committed it: at each
+ * step, place the processor head with the smallest commit tick (ties to
+ * the lower processor) among those whose read component sees current
+ * memory. Each placement checks its read, so placing every access yields
+ * a legal SC witness. Returns false as soon as no head is enabled; the
+ * greedy choice may miss a witness, which is the search's job to find.
+ */
+bool
+replayObservedOrder(const ExecutionTrace &trace, const AddrIndex &index,
+                    std::vector<int> &witness)
+{
+    const Access *acc = trace.accesses().data();
+    const std::size_t nprocs = static_cast<std::size_t>(trace.numProcs());
+    std::vector<const std::vector<int> *> seqs(nprocs);
+    for (std::size_t p = 0; p < nprocs; ++p)
+        seqs[p] = &trace.accessesOf(static_cast<ProcId>(p));
+    std::vector<std::size_t> head(nprocs, 0);
+    std::vector<Word> mem = index.initial;
+    witness.clear();
+    witness.reserve(static_cast<std::size_t>(trace.size()));
+
+    while (witness.size() < static_cast<std::size_t>(trace.size())) {
+        const Access *next = nullptr;
+        std::size_t nextProc = 0;
+        for (std::size_t p = 0; p < nprocs; ++p) {
+            if (head[p] >= seqs[p]->size())
+                continue;
+            const Access &a = acc[(*seqs[p])[head[p]]];
+            if (a.reads() &&
+                mem[static_cast<std::size_t>(
+                    index.ofAccess[static_cast<std::size_t>(a.id)])] !=
+                    a.valueRead)
+                continue;
+            if (next == nullptr || a.commitTick < next->commitTick) {
+                next = &a;
+                nextProc = p;
+            }
+        }
+        if (next == nullptr)
+            return false;
+        if (next->writes())
+            mem[static_cast<std::size_t>(
+                index.ofAccess[static_cast<std::size_t>(next->id)])] =
+                next->valueWritten;
+        ++head[nextProc];
+        witness.push_back(next->id);
+    }
+    return true;
+}
+
 class Search
 {
   public:
-    Search(const ExecutionTrace &trace, const ScVerifierLimits &limits)
-        : acc_(trace.accesses().data()), limits_(limits)
+    Search(const ExecutionTrace &trace, const AddrIndex &index,
+           const ScVerifierLimits &limits)
+        : acc_(trace.accesses().data()), limits_(limits),
+          mem_(index.initial), accAddr_(index.ofAccess)
     {
         int nprocs = trace.numProcs();
         for (ProcId p = 0; p < nprocs; ++p)
@@ -110,32 +188,18 @@ class Search
         idx_.assign(seqs_.size(), 0);
         remaining_ = trace.size();
 
-        // Intern addresses once: every per-location structure below is
-        // a dense vector indexed by address id, never a std::map.
-        std::unordered_map<Addr, int> addrId;
-        addrId.reserve(static_cast<std::size_t>(trace.size()));
-        std::vector<ProcId> toucher; // kNoProc = shared, -2 = unseen
-        auto intern = [&](Addr a) {
-            auto [it, fresh] =
-                addrId.emplace(a, static_cast<int>(mem_.size()));
-            if (fresh) {
-                mem_.push_back(trace.initialValue(a));
-                toucher.push_back(-2);
-            }
-            return it->second;
-        };
-
         int n = trace.size();
-        accAddr_.resize(static_cast<std::size_t>(n));
         accWriteSlot_.assign(static_cast<std::size_t>(n), -1);
         accReadSlot_.assign(static_cast<std::size_t>(n), -1);
+        // Per address: the one processor touching it, kNoProc once it
+        // is shared, -2 while unseen.
+        std::vector<ProcId> toucher(mem_.size(), -2);
 
-        // Pass 1: addresses, single-toucher flags, and one counting
-        // slot per distinct (location, written value) pair.
+        // Pass 1: single-toucher flags, and one counting slot per
+        // distinct (location, written value) pair.
         std::map<std::pair<int, Word>, int> slotOf;
         for (const Access &a : trace.accesses()) {
-            int aid = intern(a.addr);
-            accAddr_[static_cast<std::size_t>(a.id)] = aid;
+            int aid = accAddr_[static_cast<std::size_t>(a.id)];
             if (toucher[static_cast<std::size_t>(aid)] == -2)
                 toucher[static_cast<std::size_t>(aid)] = a.proc;
             else if (toucher[static_cast<std::size_t>(aid)] != a.proc)
@@ -405,7 +469,7 @@ class Search
     std::vector<std::size_t> idx_;
     std::vector<Word> mem_;         ///< frontier memory, by address id
     std::vector<char> private_;     ///< single-toucher flag, by address id
-    std::vector<int> accAddr_;      ///< access id -> address id
+    const std::vector<int> &accAddr_; ///< access id -> address id
     std::vector<int> accWriteSlot_; ///< access id -> (addr, value) slot
     std::vector<int> accReadSlot_;  ///< access id -> slot, or -1
     std::vector<int> writersLeft_;  ///< pending writes per (addr, value)
@@ -421,10 +485,23 @@ class Search
 } // namespace
 
 ScReport
+searchSc(const ExecutionTrace &trace, const ScVerifierLimits &limits)
+{
+    AddrIndex index(trace);
+    return Search(trace, index, limits).run();
+}
+
+ScReport
 verifySc(const ExecutionTrace &trace, const ScVerifierLimits &limits)
 {
-    Search s(trace, limits);
-    return s.run();
+    AddrIndex index(trace);
+    ScReport report;
+    if (replayObservedOrder(trace, index, report.witnessOrder)) {
+        report.verdict = ScVerdict::Sc;
+        report.decidedBy = ScPath::ObservedOrder;
+        return report;
+    }
+    return Search(trace, index, limits).run();
 }
 
 std::string
@@ -433,8 +510,12 @@ ScReport::toString() const
     std::ostringstream oss;
     switch (verdict) {
       case ScVerdict::Sc:
-        oss << "SC (witness of " << witnessOrder.size() << " accesses, "
-            << statesExplored << " states)";
+        if (decidedBy == ScPath::ObservedOrder)
+            oss << "SC (observed order, witness of " << witnessOrder.size()
+                << " accesses)";
+        else
+            oss << "SC (witness of " << witnessOrder.size()
+                << " accesses, " << statesExplored << " states)";
         break;
       case ScVerdict::NotSc:
         oss << "NOT SC (exhausted " << statesExplored << " states)";

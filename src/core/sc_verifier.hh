@@ -13,11 +13,18 @@
  * "appear sequentially consistent" to conforming software, i.e. every
  * execution it produces for such software must pass this verifier.
  *
- * The search is a memoized backtracking exploration over frontier states
- * (one index per processor + current memory contents). Deciding this
- * problem is NP-hard in general, but litmus- and workload-sized executions
- * verify quickly; a state cap makes the verifier return Unknown rather
- * than run away.
+ * verifySc() first replays the execution in the order the machine
+ * committed it: at each step it places, among the processors' next
+ * accesses whose read value matches current memory, the one with the
+ * smallest commit tick. Every placed read is checked against memory, so
+ * a replay that places every access *is* an SC witness, found in
+ * O(accesses x processors) with no search. Only when the replay gets
+ * stuck does verifySc() fall back to searchSc(): a memoized
+ * backtracking exploration over frontier states (one index per
+ * processor + current memory contents). Deciding this problem is
+ * NP-hard in general, but litmus- and workload-sized executions verify
+ * quickly; a state cap makes the search return Unknown rather than run
+ * away. NotSc and Unknown therefore only ever come from the search.
  *
  * Hot-path representation: addresses are interned once up front so all
  * per-location state (frontier memory, single-toucher flags, pending
@@ -45,15 +52,26 @@ enum class ScVerdict {
     Unknown, ///< state cap exceeded before a verdict was reached
 };
 
+/** Which path of verifySc() reached the verdict. */
+enum class ScPath {
+    ObservedOrder, ///< the replay of the machine's commit order succeeded
+    Search,        ///< the memoized search (searchSc) decided
+};
+
 /** Outcome of verifying one execution. */
 struct ScReport
 {
     ScVerdict verdict = ScVerdict::Unknown;
 
+    /** Which path decided. An ObservedOrder verdict is always Sc and
+     * explores 0 states. */
+    ScPath decidedBy = ScPath::Search;
+
     /** Witness: trace ids in a legal total order (when verdict == Sc). */
     std::vector<int> witnessOrder;
 
-    /** Distinct search states explored. */
+    /** Distinct search states explored (0 when the observed order
+     * decided). */
     std::uint64_t statesExplored = 0;
 
     bool sc() const { return verdict == ScVerdict::Sc; }
@@ -68,11 +86,20 @@ struct ScVerifierLimits
 };
 
 /**
- * Check whether @p trace has a sequentially consistent explanation.
+ * Check whether @p trace has a sequentially consistent explanation:
+ * replay the observed commit order, and search only if that fails.
  *
  * Initial memory values are taken from the trace's initials (default 0).
  */
 ScReport verifySc(const ExecutionTrace &trace,
+                  const ScVerifierLimits &limits = {});
+
+/**
+ * The memoized search alone, without the observed-order replay. Same
+ * verdicts as verifySc() wherever it is not Unknown; tests and benches
+ * call it to exercise or time the search directly.
+ */
+ScReport searchSc(const ExecutionTrace &trace,
                   const ScVerifierLimits &limits = {});
 
 } // namespace wo

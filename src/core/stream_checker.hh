@@ -75,7 +75,8 @@ class StreamingDrf0Checker
     /**
      * Consume everything still resident and unfed (end of run: all ticks
      * final). Accesses that never committed sort after every committed
-     * one, matching ExecutionTrace::syncsAt order. Sets hbCyclic()
+     * one (so orders each location's syncs by (commitTick, id), and
+     * kNoTick is the largest tick). Sets hbCyclic()
      * instead of ordering if the leftover (po U so) edges are cyclic
      * (impossible for machine traces, constructible artificially).
      */

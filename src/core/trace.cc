@@ -34,11 +34,6 @@ ExecutionTrace::add(Access a)
         pi.ids.push_back(a.id);
         pi.dirty = true;
     }
-    if (a.sync()) {
-        IndexList &si = syncs_[a.addr];
-        si.ids.push_back(a.id);
-        si.dirty = true;
-    }
     accesses_.push_back(a);
     if (static_cast<int>(accesses_.size()) > high_water_)
         high_water_ = static_cast<int>(accesses_.size());
@@ -61,14 +56,6 @@ ExecutionTrace::popLast()
         pi.ids.pop_back();
         pi.dirty = true;
     }
-    if (a.sync()) {
-        auto it = syncs_.find(a.addr);
-        it->second.ids.pop_back();
-        if (it->second.ids.empty())
-            syncs_.erase(it);
-        else
-            it->second.dirty = true;
-    }
     accesses_.pop_back();
     // Keep numProcs() == highest present processor + 1.
     while (!byProc_.empty() && byProc_.back().ids.empty())
@@ -89,14 +76,6 @@ ExecutionTrace::popFront(int n)
         if (prunePrefix(pi.ids, base_))
             pi.dirty = true;
     }
-    for (auto it = syncs_.begin(); it != syncs_.end();) {
-        if (prunePrefix(it->second.ids, base_))
-            it->second.dirty = true;
-        if (it->second.ids.empty())
-            it = syncs_.erase(it);
-        else
-            ++it;
-    }
 }
 
 void
@@ -105,7 +84,6 @@ ExecutionTrace::clear()
     accesses_.clear();
     initials_.clear();
     byProc_.clear();
-    syncs_.clear();
     base_ = 0;
     high_water_ = 0;
 }
@@ -132,29 +110,6 @@ ExecutionTrace::accessesOf(ProcId proc) const
     return pi.sorted;
 }
 
-const std::vector<int> &
-ExecutionTrace::syncsAt(Addr addr) const
-{
-    auto it = syncs_.find(addr);
-    if (it == syncs_.end())
-        return kNoIds;
-    const IndexList &si = it->second;
-    if (si.dirty) {
-        si.sorted = si.ids;
-        auto lt = [this](int x, int y) {
-            const Access &ax = accesses_[static_cast<std::size_t>(x - base_)];
-            const Access &ay = accesses_[static_cast<std::size_t>(y - base_)];
-            if (ax.commitTick != ay.commitTick)
-                return ax.commitTick < ay.commitTick;
-            return x < y;
-        };
-        if (!std::is_sorted(si.sorted.begin(), si.sorted.end(), lt))
-            std::sort(si.sorted.begin(), si.sorted.end(), lt);
-        si.dirty = false;
-    }
-    return si.sorted;
-}
-
 std::vector<Addr>
 ExecutionTrace::addrs() const
 {
@@ -162,16 +117,6 @@ ExecutionTrace::addrs() const
     for (const auto &a : accesses_)
         s.insert(a.addr);
     return {s.begin(), s.end()};
-}
-
-std::vector<Addr>
-ExecutionTrace::syncAddrs() const
-{
-    std::vector<Addr> out;
-    out.reserve(syncs_.size());
-    for (const auto &[addr, ids] : syncs_)
-        out.push_back(addr);
-    return out;
 }
 
 void

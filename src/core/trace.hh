@@ -26,10 +26,9 @@ namespace wo {
  * initial value, ordered before all program accesses — exactly the paper's
  * hypothetical initializing write + synchronization preamble.
  *
- * Per-processor and per-sync-location id indices are maintained
- * incrementally by add()/popLast()/popFront(), so the happens-before
- * machinery's accessesOf()/syncsAt() queries return cached const references
- * instead of scanning and copying the trace on every call.
+ * The per-processor id index is maintained incrementally by
+ * add()/popLast()/popFront(), so accessesOf() returns a cached const
+ * reference instead of scanning and copying the trace on every call.
  *
  * Windowed retention: popFront() retires the oldest accesses so only a
  * sliding window stays resident. Trace ids are stable — they keep naming
@@ -89,8 +88,7 @@ class ExecutionTrace
 
     /** Retire the @p n oldest resident accesses. Their ids remain
      * assigned (size() does not shrink) but they can no longer be
-     * inspected; per-proc and per-sync index caches are pruned and
-     * invalidated. */
+     * inspected; the per-proc index caches are pruned and invalidated. */
     void popFront(int n);
 
     /** Drop every access, index, initial value and retention counter,
@@ -105,17 +103,8 @@ class ExecutionTrace
      * The reference is valid until the next add()/popLast()/popFront(). */
     const std::vector<int> &accessesOf(ProcId proc) const;
 
-    /** Trace ids of resident synchronization accesses to @p addr, sorted
-     * by commit time (ties broken by trace order). The reference is valid
-     * until the next add()/popLast()/popFront(). */
-    const std::vector<int> &syncsAt(Addr addr) const;
-
     /** Distinct addresses appearing in the resident window. */
     std::vector<Addr> addrs() const;
-
-    /** Distinct addresses with at least one resident synchronization
-     * access, ascending. */
-    std::vector<Addr> syncAddrs() const;
 
     /** Set the initial value of a location. */
     void setInitial(Addr addr, Word value);
@@ -141,7 +130,6 @@ class ExecutionTrace
     std::vector<Access> accesses_;
     std::map<Addr, Word> initials_;
     std::vector<IndexList> byProc_;
-    std::map<Addr, IndexList> syncs_;
     int base_ = 0;       ///< first resident id == number retired
     int high_water_ = 0; ///< max resident() ever reached
 };

@@ -1,6 +1,7 @@
 #include "replay/system_replay.hh"
 
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "cpu/program_builder.hh"
@@ -150,8 +151,23 @@ replayOnSystem(ReplayTraceReader &reader, const SystemReplayOptions &opt)
     const bool completed = sys.runStreaming(opt.chunkTicks, drain);
     checker.finish(sys.trace());
     res.ok = completed;
-    if (!completed)
-        res.error = "replay run did not complete (tick limit?)";
+    if (!completed) {
+        // Name the limit, how far the run got and how much was checked,
+        // so a long replay that runs out of ticks is told apart from one
+        // that stopped early.
+        std::ostringstream why;
+        why << "replay run did not complete: ";
+        if (sys.eventQueue().empty())
+            why << "no events left at tick " << sys.eventQueue().now()
+                << " before every processor halted and drained"
+                << " (tick limit " << cfg.maxTicks << ")";
+        else
+            why << "hit the tick limit of " << cfg.maxTicks
+                << " ticks (reached tick " << sys.eventQueue().now()
+                << ")";
+        why << "; " << checker.consumed() << " accesses checked";
+        res.error = why.str();
+    }
     res.raceFree = checker.raceFree();
     res.hbCyclic = checker.hbCyclic();
     res.races = checker.sortedRaces();

@@ -6,6 +6,22 @@
 
 namespace wo {
 
+std::map<Addr, std::vector<int>>
+syncOrder(const ExecutionTrace &trace)
+{
+    std::map<Addr, std::vector<int>> order;
+    for (const Access &a : trace.accesses()) {
+        if (a.sync())
+            order[a.addr].push_back(a.id);
+    }
+    for (auto &[addr, ids] : order) {
+        std::stable_sort(ids.begin(), ids.end(), [&](int x, int y) {
+            return trace.at(x).commitTick < trace.at(y).commitTick;
+        });
+    }
+    return order;
+}
+
 HappensBefore::HappensBefore(const ExecutionTrace &trace)
 {
     n_ = trace.size();
@@ -23,8 +39,7 @@ HappensBefore::HappensBefore(const ExecutionTrace &trace)
 
     // Direct so edges: consecutive synchronization operations per location
     // in commit order.
-    for (Addr a : trace.syncAddrs()) {
-        const std::vector<int> &ids = trace.syncsAt(a);
+    for (const auto &[addr, ids] : syncOrder(trace)) {
         for (std::size_t k = 1; k < ids.size(); ++k)
             edges_.emplace_back(ids[k - 1], ids[k]);
     }

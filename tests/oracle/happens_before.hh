@@ -20,12 +20,19 @@
 #define WO_ORACLE_HAPPENS_BEFORE_HH
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/drf0_checker.hh"
 #include "core/trace.hh"
 
 namespace wo {
+
+/**
+ * The paper's so order: the resident synchronization accesses of
+ * @p trace, per location, sorted by commit tick (ties by trace id).
+ */
+std::map<Addr, std::vector<int>> syncOrder(const ExecutionTrace &trace);
 
 /**
  * Reachability structure for the happens-before relation of one execution.

@@ -156,6 +156,43 @@ TEST(HappensBefore, MachineTracesAreAcyclic)
     EXPECT_TRUE(hb.acyclic());
 }
 
+TEST(HappensBefore, SyncOrderSortsByCommitWithStableTies)
+{
+    ExecutionTrace t;
+    int late = t.add(mk(0, 0, AccessKind::SyncWrite, 4, 50));
+    int early = t.add(mk(1, 0, AccessKind::SyncWrite, 4, 10));
+    int tie_a = t.add(mk(2, 0, AccessKind::SyncWrite, 4, 20));
+    int tie_b = t.add(mk(3, 0, AccessKind::SyncWrite, 4, 20));
+    t.add(mk(0, 1, AccessKind::DataWrite, 4, 5)); // not a sync
+    std::map<Addr, std::vector<int>> so = syncOrder(t);
+    ASSERT_EQ(so.size(), 1u);
+    EXPECT_EQ(so[4], (std::vector<int>{early, tie_a, tie_b, late}));
+}
+
+TEST(HappensBefore, SyncOrderFollowsTheTraceWindow)
+{
+    // Two sync locations interleaved with data accesses; the so order
+    // covers only resident accesses as the window retires and
+    // backtracks.
+    ExecutionTrace t;
+    t.add(mk(0, 0, AccessKind::SyncWrite, 50, 0)); // id 0
+    t.add(mk(1, 0, AccessKind::DataRead, 7, 1));   // id 1
+    t.add(mk(0, 1, AccessKind::SyncRead, 50, 2));  // id 2
+    t.add(mk(1, 1, AccessKind::SyncRmw, 60, 3));   // id 3
+    t.add(mk(0, 2, AccessKind::DataWrite, 7, 4));  // id 4
+    using Order = std::map<Addr, std::vector<int>>;
+    EXPECT_EQ(syncOrder(t), (Order{{50, {0, 2}}, {60, {3}}}));
+    t.popFront(2);
+    EXPECT_EQ(syncOrder(t), (Order{{50, {2}}, {60, {3}}}));
+    t.add(mk(1, 2, AccessKind::SyncRmw, 60, 5)); // id 5
+    EXPECT_EQ(syncOrder(t), (Order{{50, {2}}, {60, {3, 5}}}));
+    t.popLast();
+    EXPECT_EQ(syncOrder(t), (Order{{50, {2}}, {60, {3}}}));
+    // Retiring the last sync at a location drops the location.
+    t.popFront(2);
+    EXPECT_EQ(syncOrder(t), Order{});
+}
+
 TEST(HappensBefore, EmptyTrace)
 {
     ExecutionTrace t;

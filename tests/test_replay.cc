@@ -581,6 +581,39 @@ TEST(SystemReplayTest, BarrierTraceCompletes)
     EXPECT_TRUE(res.raceFree);
 }
 
+TEST(SystemReplayTest, TickLimitFailureIsDiagnosed)
+{
+    // A replay that runs out of ticks must say so with numbers: the
+    // limit, the tick reached and the accesses checked before it.
+    TraceGenConfig cfg;
+    cfg.threads = 2;
+    cfg.rounds = 30;
+    TempTrace f("systicks");
+    ASSERT_TRUE(writeWorkloadTrace("spinlock", f.path(), cfg));
+    ReplayTraceReader r;
+    ASSERT_TRUE(r.open(f.path()));
+    SystemReplayOptions opt;
+    opt.maxTicks = 300;
+    opt.chunkTicks = 64;
+    SystemReplayResult res = replayOnSystem(r, opt);
+    ASSERT_FALSE(res.ok);
+    EXPECT_GT(res.accesses, 0u);
+    EXPECT_NE(res.error.find("hit the tick limit of 300 ticks (reached tick "),
+              std::string::npos)
+        << res.error;
+    EXPECT_NE(res.error.find("; " + std::to_string(res.accesses) +
+                             " accesses checked"),
+              std::string::npos)
+        << res.error;
+
+    // The same trace completes under the machine's default limit.
+    opt.maxTicks = 0;
+    SystemReplayResult whole = replayOnSystem(r, opt);
+    ASSERT_TRUE(whole.ok) << whole.error;
+    EXPECT_TRUE(whole.error.empty());
+    EXPECT_GT(whole.accesses, res.accesses);
+}
+
 TEST(SystemReplayTest, SystemStreamingExportsRetentionStats)
 {
     // The System-level satellite counters appear exactly when retirement

@@ -34,6 +34,14 @@ wr(ProcId proc, int po, Addr addr, Word value)
     return a;
 }
 
+/** @p a with commit tick @p tick. */
+Access
+committedAt(Access a, Tick tick)
+{
+    a.commitTick = tick;
+    return a;
+}
+
 Access
 rmw(ProcId proc, int po, Addr addr, Word seen, Word written)
 {
@@ -262,20 +270,23 @@ TEST(ScVerifier, SilentSpinsAreCheap)
 TEST(ScVerifier, TinyCapOnBranchyTraceIsUnknown)
 {
     // Two processors ping-ponging distinct values on one location: the
-    // very first frontier state already branches, so maxStates=1 must
-    // give up with Unknown — it cannot claim NotSc without exhausting.
+    // very first frontier state already branches, so a search capped
+    // at maxStates=1 must give up with Unknown — it cannot claim NotSc
+    // without exhausting. The trace is SC (P1 writes 555 to location 1,
+    // then P0 reads it), and the observed-order replay certifies it, so
+    // the capped search is called directly.
     ExecutionTrace t;
     for (int p = 0; p < 2; ++p)
         for (int i = 0; i < 3; ++i)
             t.add(wr(p, i, 0, static_cast<Word>(100 * p + i)));
-    t.add(rd(0, 10, 1, 555)); // unsatisfiable, but only after searching
-    t.add(wr(1, 10, 1, 555)); // (a write of 555 exists, keeping the
-                              // pending-write pruning out of the way)
+    t.add(rd(0, 10, 1, 555)); // satisfiable only after P1's write below
+    t.add(wr(1, 10, 1, 555));
     ScVerifierLimits lim;
     lim.maxStates = 1;
-    ScReport r = verifySc(t, lim);
+    ScReport r = searchSc(t, lim);
     EXPECT_EQ(r.verdict, ScVerdict::Unknown);
     EXPECT_TRUE(r.witnessOrder.empty());
+    EXPECT_EQ(verifySc(t, lim).verdict, ScVerdict::Sc);
 }
 
 TEST(ScVerifier, PendingWritePruningFailsFast)
@@ -296,6 +307,99 @@ TEST(ScVerifier, PendingWritePruningFailsFast)
     ScReport r = verifySc(t);
     EXPECT_EQ(r.verdict, ScVerdict::NotSc);
     EXPECT_LT(r.statesExplored, 5u);
+}
+
+TEST(ScVerifier, CommitOrderReplayCertifiesWithoutSearch)
+{
+    // Message passing as a machine commits it: the replay follows the
+    // ticks, checks every read and needs no search.
+    ExecutionTrace t;
+    t.add(committedAt(wr(0, 0, 0, 1), 3));
+    t.add(committedAt(wr(0, 1, 1, 1), 4));
+    t.add(committedAt(rd(1, 0, 1, 1), 7));
+    t.add(committedAt(rd(1, 1, 0, 1), 9));
+    ScReport r = verifySc(t);
+    EXPECT_EQ(r.verdict, ScVerdict::Sc);
+    EXPECT_EQ(r.decidedBy, ScPath::ObservedOrder);
+    EXPECT_EQ(r.statesExplored, 0u);
+    EXPECT_EQ(r.witnessOrder, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(r.toString(), "SC (observed order, witness of 4 accesses)");
+    EXPECT_EQ(searchSc(t).decidedBy, ScPath::Search);
+}
+
+TEST(ScVerifier, OutOfOrderCommitTicksFallBackToSearch)
+{
+    // P1's read of the initial x=0 carries a later commit tick than
+    // P0's write of 1 (its reply reached P1 late, as on an uncached
+    // network machine). Following the ticks places the write first and
+    // strands the read, but the execution is SC with the read first:
+    // the search finds it.
+    ExecutionTrace t;
+    t.add(committedAt(wr(0, 0, 0, 1), 1));
+    t.add(committedAt(rd(1, 0, 0, 0), 2));
+    ScReport r = verifySc(t);
+    EXPECT_EQ(r.verdict, ScVerdict::Sc);
+    EXPECT_EQ(r.decidedBy, ScPath::Search);
+    EXPECT_GT(r.statesExplored, 0u);
+    EXPECT_EQ(r.witnessOrder, (std::vector<int>{1, 0}));
+    EXPECT_EQ(r.toString(), "SC (witness of 2 accesses, " +
+                                std::to_string(r.statesExplored) +
+                                " states)");
+}
+
+TEST(ScVerifier, NotScFailsBothPaths)
+{
+    // Dekker with both reads of 0, each read committing before its
+    // processor's earlier write (as a write buffer allows): the replay
+    // gets stuck and the search exhausts every interleaving.
+    ExecutionTrace t;
+    t.add(committedAt(wr(0, 0, 0, 1), 5));
+    t.add(committedAt(rd(0, 1, 1, 0), 2));
+    t.add(committedAt(wr(1, 0, 1, 1), 6));
+    t.add(committedAt(rd(1, 1, 0, 0), 3));
+    ScReport r = verifySc(t);
+    EXPECT_EQ(r.verdict, ScVerdict::NotSc);
+    EXPECT_EQ(r.decidedBy, ScPath::Search);
+    EXPECT_GT(r.statesExplored, 0u);
+    EXPECT_TRUE(r.witnessOrder.empty());
+    ScReport s = searchSc(t);
+    EXPECT_EQ(s.verdict, ScVerdict::NotSc);
+    EXPECT_EQ(s.statesExplored, r.statesExplored);
+}
+
+TEST(ScVerifier, MissingTicksSortLastAndTieToTheLowerProcessor)
+{
+    // Hand traces carry kNoTick. An untimed access ranks after timed
+    // ones: P1's timed read of the initial x=0 goes before P0's untimed
+    // write of x=1.
+    ExecutionTrace t;
+    t.add(wr(0, 0, 0, 1));
+    t.add(committedAt(rd(1, 0, 0, 0), 10));
+    ScReport r = verifySc(t);
+    EXPECT_EQ(r.verdict, ScVerdict::Sc);
+    EXPECT_EQ(r.decidedBy, ScPath::ObservedOrder);
+    EXPECT_EQ(r.witnessOrder, (std::vector<int>{1, 0}));
+
+    // Equal (here: missing) ticks go to the lower processor, whatever
+    // the record order.
+    ExecutionTrace v;
+    v.add(wr(1, 0, 1, 5));
+    v.add(rd(0, 0, 1, 0));
+    ScReport q = verifySc(v);
+    EXPECT_EQ(q.verdict, ScVerdict::Sc);
+    EXPECT_EQ(q.decidedBy, ScPath::ObservedOrder);
+    EXPECT_EQ(q.witnessOrder, (std::vector<int>{1, 0}));
+
+    // All untimed: the tie-break alone picks P0's write before P1's
+    // read of the initial value, which strands the read; the search
+    // still proves the trace SC.
+    ExecutionTrace u;
+    u.add(wr(0, 0, 0, 1));
+    u.add(rd(1, 0, 0, 0));
+    ScReport s = verifySc(u);
+    EXPECT_EQ(s.verdict, ScVerdict::Sc);
+    EXPECT_EQ(s.decidedBy, ScPath::Search);
+    EXPECT_GT(s.statesExplored, 0u);
 }
 
 } // namespace

@@ -87,22 +87,6 @@ TEST(TraceUnit, AccessesOfSortsByProgramOrder)
     EXPECT_EQ(t.at(ids[2]).poIndex, 2);
 }
 
-TEST(TraceUnit, SyncsAtSortsByCommitWithStableTies)
-{
-    ExecutionTrace t;
-    int late = t.add(mk(0, 0, AccessKind::SyncWrite, 4, 50));
-    int early = t.add(mk(1, 0, AccessKind::SyncWrite, 4, 10));
-    int tie_a = t.add(mk(2, 0, AccessKind::SyncWrite, 4, 20));
-    int tie_b = t.add(mk(3, 0, AccessKind::SyncWrite, 4, 20));
-    t.add(mk(0, 1, AccessKind::DataWrite, 4, 5)); // not a sync
-    std::vector<int> ids = t.syncsAt(4);
-    ASSERT_EQ(ids.size(), 4u);
-    EXPECT_EQ(ids[0], early);
-    EXPECT_EQ(ids[1], tie_a);
-    EXPECT_EQ(ids[2], tie_b);
-    EXPECT_EQ(ids[3], late);
-}
-
 TEST(TraceUnit, InitialsDefaultZero)
 {
     ExecutionTrace t;
@@ -158,6 +142,22 @@ TEST(ContractUnit, ReportToStringStates)
     rep.outcomeChecked = true;
     rep.outcomeInScSet = false;
     EXPECT_NE(rep.toString().find("NOT in"), std::string::npos);
+}
+
+TEST(ContractUnit, ReportSaysWhichScPathDecided)
+{
+    ContractReport rep;
+    rep.appearsSc = true;
+    rep.scReport.verdict = ScVerdict::Sc;
+    rep.scReport.witnessOrder = {0, 1};
+    rep.scReport.decidedBy = ScPath::ObservedOrder;
+    EXPECT_NE(rep.toString().find(
+                  "[SC (observed order, witness of 2 accesses)]"),
+              std::string::npos);
+    rep.scReport.decidedBy = ScPath::Search;
+    rep.scReport.statesExplored = 3;
+    EXPECT_NE(rep.toString().find("[SC (witness of 2 accesses, 3 states)]"),
+              std::string::npos);
 }
 
 TEST(ContractUnit, CheckExecutionWithoutOutcomeSet)

@@ -136,25 +136,19 @@ TEST(TraceWindow, IndexCachesSurvivePopFront)
 
     // Prime the sorted caches, then retire across them.
     EXPECT_EQ(t.accessesOf(0), (std::vector<int>{0, 2, 4}));
-    EXPECT_EQ(t.syncsAt(50), (std::vector<int>{0, 2}));
     t.popFront(2);
     EXPECT_EQ(t.accessesOf(0), (std::vector<int>{2, 4}));
     EXPECT_EQ(t.accessesOf(1), (std::vector<int>{3}));
-    EXPECT_EQ(t.syncsAt(50), (std::vector<int>{2}));
-    EXPECT_EQ(t.syncsAt(60), (std::vector<int>{3}));
 
     // Mixed mutations after retirement: append, then backtrack.
     t.add(mk(1, 2, AccessKind::SyncRmw, 60, 5)); // id 5
-    EXPECT_EQ(t.syncsAt(60), (std::vector<int>{3, 5}));
+    EXPECT_EQ(t.accessesOf(1), (std::vector<int>{3, 5}));
     t.popLast();
-    EXPECT_EQ(t.syncsAt(60), (std::vector<int>{3}));
+    EXPECT_EQ(t.accessesOf(1), (std::vector<int>{3}));
 
-    // Retiring the last sync at a location empties its entry.
     t.popFront(2);
-    EXPECT_TRUE(t.syncsAt(50).empty());
     EXPECT_EQ(t.accessesOf(0), (std::vector<int>{4}));
-    std::vector<Addr> sa = t.syncAddrs();
-    EXPECT_TRUE(std::find(sa.begin(), sa.end(), 50) == sa.end());
+    EXPECT_TRUE(t.accessesOf(1).empty());
 }
 
 TEST(TraceWindow, StreamingMatchesOracleAcrossWindowSizes)

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -82,42 +84,52 @@ tokenizeAll(const std::string &source, const std::string &file)
     return toks;
 }
 
+/** True when @p s has characters from @p from on, all of them digits. */
 bool
-isNumber(const std::string &s)
+digitsFrom(const std::string &s, std::size_t from)
 {
-    std::size_t start = (!s.empty() && s[0] == '-') ? 1 : 0;
-    if (start >= s.size())
+    if (from >= s.size())
         return false;
-    for (std::size_t i = start; i < s.size(); ++i) {
+    for (std::size_t i = from; i < s.size(); ++i) {
         if (!std::isdigit(static_cast<unsigned char>(s[i])))
             return false;
     }
     return true;
+}
+
+/**
+ * Value of the digits of @p s from @p from on, or nullopt when it
+ * exceeds @p max. The caller has checked the shape with digitsFrom().
+ */
+std::optional<std::uint64_t>
+decimal(const std::string &s, std::size_t from, std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = from; i < s.size(); ++i) {
+        auto d = static_cast<std::uint64_t>(s[i] - '0');
+        if (v > (max - d) / 10)
+            return std::nullopt;
+        v = v * 10 + d;
+    }
+    return v;
+}
+
+bool
+isNumber(const std::string &s)
+{
+    return digitsFrom(s, !s.empty() && s[0] == '-' ? 1 : 0);
 }
 
 bool
 isRegToken(const std::string &s)
 {
-    if (s.size() < 2 || (s[0] != 'r' && s[0] != 'R'))
-        return false;
-    for (std::size_t i = 1; i < s.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(s[i])))
-            return false;
-    }
-    return true;
+    return !s.empty() && (s[0] == 'r' || s[0] == 'R') && digitsFrom(s, 1);
 }
 
-/** "P<n>" (either case) → n, or -1 when the token is something else. */
-int
-procNumber(const std::string &s)
+bool
+isProcToken(const std::string &s)
 {
-    if (s.size() < 2 || (s[0] != 'P' && s[0] != 'p'))
-        return -1;
-    for (std::size_t i = 1; i < s.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(s[i])))
-            return -1;
-    }
-    return std::stoi(s.substr(1));
+    return !s.empty() && (s[0] == 'P' || s[0] == 'p') && digitsFrom(s, 1);
 }
 
 std::string
@@ -188,11 +200,27 @@ class Cur
         if (!isNumber(t.text))
             fail("expected " + std::string(what) + ", got '" + t.text +
                  "'");
+        return numberValue(t);
+    }
+
+    /**
+     * Value of a number token: 0 ... 2^64-1, or a negative down to
+     * -2^63 stored in two's complement. Anything wider would wrap onto
+     * another value, so it is an error.
+     */
+    Word
+    numberValue(const Token &t) const
+    {
+        constexpr std::uint64_t kMaxNeg = std::uint64_t{1} << 63;
         bool neg = t.text[0] == '-';
-        std::uint64_t v = 0;
-        for (std::size_t i = neg ? 1 : 0; i < t.text.size(); ++i)
-            v = v * 10 + static_cast<std::uint64_t>(t.text[i] - '0');
-        return neg ? static_cast<Word>(~v + 1) : static_cast<Word>(v);
+        auto v = decimal(t.text, neg ? 1 : 0,
+                         neg ? kMaxNeg
+                             : std::numeric_limits<std::uint64_t>::max());
+        if (!v) {
+            failAt(t.line, "number '" + t.text +
+                               "' does not fit in a 64-bit word");
+        }
+        return neg ? ~*v + 1 : *v;
     }
 
     int
@@ -202,13 +230,33 @@ class Cur
         if (!isRegToken(t.text))
             fail("expected register (r<N>) for " + std::string(what) +
                  ", got '" + t.text + "'");
-        return std::stoi(t.text.substr(1));
+        return indexOf(t, "register");
+    }
+
+    /**
+     * The digits after the one-letter prefix of a register or processor
+     * token, which must fit in an int.
+     */
+    int
+    indexOf(const Token &t, const char *what) const
+    {
+        auto v = decimal(t.text, 1, std::numeric_limits<int>::max());
+        if (!v)
+            failAt(t.line, std::string(what) + " number in '" + t.text +
+                               "' is out of range");
+        return static_cast<int>(*v);
     }
 
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw LitmusError(file_, line(), msg);
+        failAt(line(), msg);
+    }
+
+    [[noreturn]] void
+    failAt(int line, const std::string &msg) const
+    {
+        throw LitmusError(file_, line, msg);
     }
 
     std::string
@@ -216,8 +264,6 @@ class Cur
     {
         return done() ? "end of file" : "'" + toks_[pos_].text + "'";
     }
-
-    const std::string &file() const { return file_; }
 
   private:
     std::vector<Token> toks_;
@@ -242,10 +288,9 @@ parseInsn(Cur &c, Stmt &s)
         if (has_operand) {
             const Token &v = c.next("value");
             if (isRegToken(v.text)) {
-                s.reg2 = std::stoi(v.text.substr(1));
+                s.reg2 = c.indexOf(v, "register");
             } else if (isNumber(v.text)) {
-                Cur tmp({{v.text, v.line}}, c.file());
-                s.imm = tmp.number("value");
+                s.imm = c.numberValue(v);
                 s.hasImm = true;
             } else {
                 c.fail("expected register or number, got '" + v.text +
@@ -314,12 +359,12 @@ parseAtom(Cur &c)
         return n;
     }
     const Token &t = c.next("condition term");
-    int proc = procNumber(t.text);
-    if (proc >= 0 && c.accept(":")) {
+    bool is_proc = isProcToken(t.text);
+    if (is_proc && c.accept(":")) {
         n.kind = Cond::Kind::RegTerm;
-        n.proc = proc;
+        n.proc = c.indexOf(t, "processor");
         n.reg = c.reg("register");
-    } else if (proc >= 0 && c.peek() != "==" && c.peek() != "!=") {
+    } else if (is_proc && c.peek() != "==" && c.peek() != "!=") {
         c.fail("expected ':' after processor '" + t.text + "'");
     } else {
         n.kind = Cond::Kind::MemTerm;
@@ -430,7 +475,8 @@ parseLitmus(const std::string &source, const std::string &file)
         int expect_proc = 0;
         for (;;) {
             const Token &p = c.next("processor header 'P<n>'");
-            if (procNumber(p.text) != expect_proc) {
+            if (!isProcToken(p.text) ||
+                c.indexOf(p, "processor") != expect_proc) {
                 throw LitmusError(file, p.line,
                                   "expected processor header 'P" +
                                       std::to_string(expect_proc) +

@@ -30,8 +30,11 @@
  *   reg       := "r" num
  *
  * Locations are symbolic; every location used by a statement or a memory
- * term must be declared in the init section. Parse errors throw
- * LitmusError carrying file and 1-based line.
+ * term must be declared in the init section. A num is one 64-bit word:
+ * 0 ... 2^64-1, or a negative down to -2^63 (two's complement); register
+ * and processor numbers must fit in an int. Parse errors, including a
+ * number out of those ranges, throw LitmusError carrying file and
+ * 1-based line.
  */
 
 #ifndef WO_LITMUS_PARSER_HH

@@ -164,7 +164,7 @@ class CoverageMap
 };
 
 namespace detail {
-extern thread_local CoverageMap *t_active_coverage;
+extern constinit thread_local CoverageMap *t_active_coverage;
 
 /** Run (and clear) this thread's deferred coverage flushes against the
  * currently-active map. Called by CoverageScope around every map

@@ -175,8 +175,6 @@ ReplayEngine::run()
             stepped = tryStep((start + k) % n);
         if (stepped) {
             maybeRetire();
-            if (opt_.stopAtFirstRace && !checker_.raceFree())
-                break;
             continue;
         }
         // Everyone is blocked. A barrier may have become openable when a

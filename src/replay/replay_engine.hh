@@ -47,9 +47,6 @@ struct ReplayOptions
 
     /** Interleaving seed. */
     std::uint64_t seed = 1;
-
-    /** Abandon replay at the first race (online verdict). */
-    bool stopAtFirstRace = false;
 };
 
 struct ReplayResult

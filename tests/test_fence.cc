@@ -14,8 +14,8 @@
 #include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
+#include "litmus/compiler.hh"
 #include "system/system.hh"
-#include "workload/asm.hh"
 #include "workload/litmus.hh"
 
 namespace wo {
@@ -112,19 +112,19 @@ TEST(Fence, NoOpOnIdealizedMachine)
     EXPECT_EQ(r.registers[0][0], 1u);
 }
 
-TEST(Fence, AssemblesAndDisassembles)
+TEST(Fence, CompilesFromLitmusText)
 {
-    MultiProgram mp = assemble(R"(
-P0:
-    store [0], #1
-    fence
-    load r0, [1]
-)");
-    EXPECT_EQ(mp.program(0).at(1).op, Opcode::Fence);
-    std::string text = disassemble(mp);
-    EXPECT_NE(text.find("fence"), std::string::npos);
-    MultiProgram mp2 = assemble(text);
-    EXPECT_EQ(mp2.program(0).at(1).op, Opcode::Fence);
+    const char *src = R"(
+init { x = 0; y = 0; }
+P0          ;
+store x, 1  ;
+fence       ;
+load r0, y  ;
+exists (P0:r0 == 0)
+)";
+    using namespace litmus_dsl;
+    CompiledLitmus c = compileLitmus(parseLitmus(src, "fence.litmus"));
+    EXPECT_EQ(c.program.program(0).at(1).op, Opcode::Fence);
 }
 
 TEST(Fence, CountsAsStallUnderRelaxed)

@@ -178,6 +178,99 @@ TEST(LitmusParserErrors, RowWithTooManyCells)
                   3, "cells");
 }
 
+TEST(LitmusParserErrors, TrailingTokensInCell)
+{
+    expectErrorAt("init { x = 0; }\nP0 ;\nnop nop ;\nhalt ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  3, "trailing tokens in cell");
+}
+
+TEST(LitmusParserErrors, StatementBeforeProcessorHeader)
+{
+    expectErrorAt("init { x = 0; }\nload r0, x ;\nhalt ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  2, "processor header 'P0'");
+}
+
+// Numbers the DSL cannot represent are errors, not silently wrapped
+// (a value is one 64-bit word; register and processor indices are ints).
+
+TEST(LitmusParserErrors, InitValueOutOfRange)
+{
+    expectErrorAt("init {\n  x = 18446744073709551617;\n}\nP0 ;\nhalt ;\n"
+                  "forbidden (x == 18446744073709551621)\n",
+                  2, "'18446744073709551617' does not fit");
+}
+
+TEST(LitmusParserErrors, ImmediateOutOfRange)
+{
+    const char *insns[] = {
+        "movi r0, 18446744073709551616",
+        "addi r0, r0, 99999999999999999999",
+        "store x, 18446744073709551616",
+        "unset s, 18446744073709551616",
+        "tas r0, s, 18446744073709551616",
+        "beq r0, 18446744073709551616, l",
+        "nop 18446744073709551617",
+        "movi r0, -9223372036854775809",
+    };
+    for (const char *insn : insns) {
+        SCOPED_TRACE(insn);
+        expectErrorAt(std::string("init { x = 0; s = 0 sync; }\nP0 ;\n") +
+                          "l: " + insn + " ;\nhalt ;\n"
+                          "exists (P0:r0 == 0)\n",
+                      3, "does not fit in a 64-bit word");
+    }
+}
+
+TEST(LitmusParserErrors, ClauseConstantOutOfRange)
+{
+    expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
+                  "forbidden (x == 18446744073709551621)\n",
+                  4, "does not fit in a 64-bit word");
+    expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
+                  "exists (P0:r0 != -9223372036854775809)\n",
+                  4, "does not fit in a 64-bit word");
+}
+
+TEST(LitmusParserErrors, RegisterNumberOutOfRange)
+{
+    expectErrorAt("init { x = 0; }\nP0 ;\nmovi r2147483648, 1 ;\nhalt ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  3, "register number in 'r2147483648' is out of range");
+    expectErrorAt("init { x = 0; }\nP0 ;\nstore x, r99999999999 ;\nhalt ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  3, "register number");
+    expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
+                  "exists (P0:r99999999999 == 0)\n",
+                  4, "register number");
+}
+
+TEST(LitmusParserErrors, ProcessorNumberOutOfRange)
+{
+    expectErrorAt("init { x = 0; }\nP0 | P99999999999 ;\nhalt | halt ;\n"
+                  "exists (P0:r0 == 0)\n",
+                  2, "processor number in 'P99999999999' is out of range");
+    expectErrorAt("init { x = 0; }\nP0 ;\nhalt ;\n"
+                  "exists (P99999999999:r0 == 0)\n",
+                  4, "processor number");
+}
+
+TEST(LitmusParser, AcceptsTheFullWordRange)
+{
+    LitmusTest t = parseLitmus(
+        "init { x = 18446744073709551615; }\n"
+        "P0 ;\n"
+        "movi r2147483647, -9223372036854775808 ;\n"
+        "halt ;\n"
+        "exists (x == 18446744073709551615)\n",
+        "w.litmus");
+    EXPECT_EQ(t.inits[0].value, ~Word{0});
+    EXPECT_EQ(t.procs[0][0].reg, 2147483647);
+    EXPECT_EQ(t.procs[0][0].imm, Word{1} << 63);
+    EXPECT_EQ(toString(t.clause), "exists (x == 18446744073709551615)");
+}
+
 TEST(LitmusCompilerErrors, UndeclaredLocation)
 {
     expectErrorAt("init { x = 0; }\nP0 ;\nload r0, y ;\nhalt ;\n"
@@ -268,6 +361,68 @@ TEST(LitmusCompiler, AppendsImplicitHalt)
     const Program &p = c.program.program(0);
     ASSERT_GE(p.size(), 2u);
     EXPECT_EQ(p.at(p.size() - 1).op, Opcode::Halt);
+}
+
+/** P0's compiled program for a single-processor test body. */
+Program
+compileP0(const std::string &init, const std::string &rows)
+{
+    return compileLitmus(parseLitmus("init { " + init + " }\nP0 ;\n" +
+                                         rows + "exists (x == 0)\n",
+                                     "p0.litmus"))
+        .program.program(0);
+}
+
+TEST(LitmusCompiler, TasAndUnsetForms)
+{
+    Program p = compileP0("x = 0; s = 0 sync;",
+                          "tas r0, s ;\n"
+                          "tas r1, s, 0 ;\n"
+                          "unset s ;\n"
+                          "unset s, 5 ;\n"
+                          "unset s, r1 ;\n");
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(p.at(i).op, Opcode::TestAndSet);
+        EXPECT_EQ(p.at(i).dst, i);
+    }
+    EXPECT_EQ(p.at(0).imm, 1u); // tas writes 1 by default
+    EXPECT_EQ(p.at(1).imm, 0u);
+    for (int i = 2; i < 5; ++i)
+        EXPECT_EQ(p.at(i).op, Opcode::SyncWrite);
+    EXPECT_EQ(p.at(2).imm, 0u); // unset releases with 0 by default
+    EXPECT_EQ(p.at(2).src, -1);
+    EXPECT_EQ(p.at(3).imm, 5u);
+    EXPECT_EQ(p.at(3).src, -1);
+    EXPECT_EQ(p.at(4).src, 1);
+}
+
+TEST(LitmusCompiler, LowersFenceAndNopRepeat)
+{
+    Program p = compileP0("x = 0;", "store x, 1 ;\nfence ;\nnop 3 ;\n"
+                                    "nop ;\nload r0, x ;\n");
+    ASSERT_EQ(p.size(), 8);
+    EXPECT_EQ(p.at(1).op, Opcode::Fence);
+    for (int i = 2; i < 6; ++i)
+        EXPECT_EQ(p.at(i).op, Opcode::Nop) << i;
+    EXPECT_EQ(p.at(6).op, Opcode::Load);
+    EXPECT_EQ(p.at(7).op, Opcode::Halt);
+}
+
+TEST(LitmusCompiler, LabelOnlyCellsShareABranchTarget)
+{
+    // Label-only cells bind to the next instruction, as the
+    // round:/acq:/testspin: stack in tttas_counter.litmus does.
+    Program p = compileP0("x = 0;", "movi r0, 0 ;\n"
+                                    "a: ;\n"
+                                    "b: ;\n"
+                                    "c: addi r0, r0, 1 ;\n"
+                                    "bne r0, 1, a ;\n"
+                                    "bne r0, 2, b ;\n"
+                                    "bne r0, 3, c ;\n");
+    for (int i = 2; i < 5; ++i) {
+        EXPECT_EQ(p.at(i).op, Opcode::Bne);
+        EXPECT_EQ(p.at(i).target, 1) << i;
+    }
 }
 
 RunResult
@@ -466,6 +621,32 @@ TEST(WoLitmusTool, BadUsageExitsTwo)
     EXPECT_EQ(woLitmusExit("--no-such-flag"), 2);
     EXPECT_EQ(woLitmusExit(""), 2); // no corpus paths
     EXPECT_EQ(woLitmusExit("--coverage-report="), 2); // empty file
+}
+
+TEST(WoLitmusTool, OutOfRangeNumbersExitTwo)
+{
+    const std::string dir = ::testing::TempDir();
+    const struct
+    {
+        const char *name;
+        const char *src;
+    } cases[] = {
+        {"wrap", "init { x = 18446744073709551617; }\nP0 ;\nhalt ;\n"
+                 "forbidden (x == 18446744073709551621)\n"},
+        {"reg", "init { x = 0; }\nP0 ;\nmovi r2147483648, 1 ;\n"
+                "exists (x == 0)\n"},
+        {"proc", "init { x = 0; }\nP0 | P99999999999 ;\n"
+                 "exists (x == 0)\n"},
+    };
+    for (const auto &c : cases) {
+        const std::string file = dir + "/wo_range_" + c.name + ".litmus";
+        {
+            std::ofstream out(file);
+            ASSERT_TRUE(out);
+            out << c.src;
+        }
+        EXPECT_EQ(woLitmusExit("--seeds=1 " + file), 2) << c.name;
+    }
 }
 
 TEST(WoLitmusTool, CoverageReportFileIsWritten)

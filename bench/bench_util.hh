@@ -163,21 +163,18 @@ jsonString(const std::string &s)
 }
 
 /**
- * Dump @p stats inside a provenance envelope: the bench name, the
- * commit it was built from (`git describe --always --dirty`, run in
- * the working directory), the build type, the host CPU and thread
- * count, --quick, and the repetition count behind every median/IQR in
- * @p stats. Run from the repository root so the commit resolves.
+ * Open a bench JSON object with its provenance envelope: the bench
+ * name, the commit it was built from (`git describe --always --dirty`,
+ * run in the working directory), the build type, the host CPU and
+ * thread count, --quick, and the repetition count behind every
+ * median/IQR that follows. Leaves the object open after `"reps": N,`
+ * for the caller's fields. Run from the repository root so the commit
+ * resolves.
  */
 inline void
-dumpEnvelopeJson(const StatSet &stats, const std::string &file,
-                 const std::string &bench, bool quick, int reps)
+writeEnvelopeHead(std::ostream &out, const std::string &bench, bool quick,
+                  int reps)
 {
-    std::ofstream out(file);
-    if (!out) {
-        std::cerr << "cannot write " << file << "\n";
-        return;
-    }
 #ifdef WO_BUILD_TYPE
     const std::string build_type = WO_BUILD_TYPE;
 #else
@@ -189,7 +186,21 @@ dumpEnvelopeJson(const StatSet &stats, const std::string &file,
         << ",\n  \"machine\": {\"cpu\": " << jsonString(cpuModel())
         << ", \"nproc\": " << std::thread::hardware_concurrency()
         << "},\n  \"quick\": " << (quick ? "true" : "false")
-        << ",\n  \"reps\": " << reps << ",\n  \"stats\": ";
+        << ",\n  \"reps\": " << reps << ",\n";
+}
+
+/** Dump @p stats inside a provenance envelope (writeEnvelopeHead). */
+inline void
+dumpEnvelopeJson(const StatSet &stats, const std::string &file,
+                 const std::string &bench, bool quick, int reps)
+{
+    std::ofstream out(file);
+    if (!out) {
+        std::cerr << "cannot write " << file << "\n";
+        return;
+    }
+    writeEnvelopeHead(out, bench, quick, reps);
+    out << "  \"stats\": ";
     stats.dumpJson(out, "", 2);
     out << "\n}\n";
     std::cout << "\njson written to " << file << "\n";

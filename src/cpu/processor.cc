@@ -126,26 +126,18 @@ coverStallSegment(StallReason why)
     CoverageMap *cov = activeCoverage();
     if (!cov)
         return;
-    static const std::array<std::string, kNumStallReasons> keys = [] {
-        std::array<std::string, kNumStallReasons> k;
+    // Resolved once per process; any stall seeds every reason at 0.
+    static const std::array<std::uint32_t, kNumStallReasons> ids = [] {
+        std::array<std::uint32_t, kNumStallReasons> k;
         for (int i = 0; i < kNumStallReasons; ++i) {
-            k[i] = std::string("proc_stall/") +
-                   toString(static_cast<StallReason>(i));
+            k[i] = CoverageMap::globalKeyId(
+                CoverageMap::Dim::Stall,
+                std::string("proc_stall/") +
+                    toString(static_cast<StallReason>(i)));
         }
         return k;
     }();
-    // Per-thread interned-id cache, (map, generation)-validated: spin
-    // loops open segments hot enough that hashing the key per segment
-    // shows up in trace_overhead's coverage gate.
-    thread_local CoverageMap *cached_map = nullptr;
-    thread_local std::uint64_t cached_gen = 0;
-    thread_local std::array<std::uint32_t, kNumStallReasons> ids;
-    if (cov != cached_map || cov->generation() != cached_gen) {
-        for (int i = 0; i < kNumStallReasons; ++i)
-            ids[i] = cov->internKey(CoverageMap::Dim::Stall, keys[i]);
-        cached_map = cov;
-        cached_gen = cov->generation();
-    }
+    cov->seed(CoverageMap::Dim::Stall, ids);
     cov->hit(CoverageMap::Dim::Stall,
              ids[static_cast<std::size_t>(why)]);
 }

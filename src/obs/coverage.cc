@@ -1,7 +1,9 @@
 #include "obs/coverage.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cstring>
+#include <mutex>
+#include <unordered_map>
 
 namespace wo {
 
@@ -43,33 +45,47 @@ registerCoverageFlush(void *obj, void (*fn)(void *, CoverageMap *))
 
 namespace {
 
-/** Unique per construction/clear (see CoverageMap::generation). */
-std::uint64_t
-nextGeneration()
+/** One dimension's append-only key table. Ids index names; the map's
+ * nodes keep the key strings names points at alive. */
+struct KeyRegistry
 {
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
+    std::mutex mu;
+    std::unordered_map<std::string, std::uint32_t> ids;
+    std::vector<const std::string *> names;
+};
+
+KeyRegistry &
+registry(CoverageMap::Dim d)
+{
+    static std::array<KeyRegistry, CoverageMap::kNumDims> regs;
+    return regs[static_cast<int>(d)];
 }
 
 } // namespace
 
-CoverageMap::CoverageMap() : gen_(nextGeneration())
+std::uint32_t
+CoverageMap::globalKeyId(Dim d, const std::string &key)
 {
-    std::memset(trans_, 0, sizeof(trans_));
+    KeyRegistry &reg = registry(d);
+    std::lock_guard<std::mutex> lock(reg.mu);
+    auto [it, fresh] = reg.ids.try_emplace(
+        key, static_cast<std::uint32_t>(reg.names.size()));
+    if (fresh)
+        reg.names.push_back(&it->first);
+    return it->second;
 }
 
-std::uint32_t
-CoverageMap::internKey(Dim d, const std::string &key)
+std::vector<std::pair<std::string, std::uint64_t>>
+CoverageMap::entries(Dim d) const
 {
-    NamedDim &dim = dims_[static_cast<int>(d)];
-    auto it = dim.ids.find(key);
-    if (it != dim.ids.end())
-        return it->second;
-    std::uint32_t id = static_cast<std::uint32_t>(dim.keys.size());
-    dim.ids.emplace(key, id);
-    dim.keys.push_back(key);
-    dim.counts.push_back(0);
-    return id;
+    const std::vector<Slot> &slots = dims_[static_cast<int>(d)];
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    KeyRegistry &reg = registry(d);
+    std::lock_guard<std::mutex> lock(reg.mu);
+    for (std::size_t id = 0; id < slots.size(); ++id)
+        if (slots[id].present)
+            out.emplace_back(*reg.names[id], slots[id].count);
+    return out;
 }
 
 void
@@ -80,11 +96,13 @@ CoverageMap::merge(const CoverageMap &other)
             for (int e = 0; e < kNumLineEvents; ++e)
                 trans_[k][s][e] += other.trans_[k][s][e];
     for (int d = 0; d < kNumDims; ++d) {
-        const NamedDim &src = other.dims_[d];
-        for (std::size_t i = 0; i < src.keys.size(); ++i) {
-            std::uint32_t id =
-                internKey(static_cast<Dim>(d), src.keys[i]);
-            dims_[d].counts[id] += src.counts[i];
+        const std::vector<Slot> &src = other.dims_[d];
+        std::vector<Slot> &dst = dims_[d];
+        if (src.size() > dst.size())
+            dst.resize(src.size());
+        for (std::size_t id = 0; id < src.size(); ++id) {
+            dst[id].count += src[id].count;
+            dst[id].present |= src[id].present;
         }
     }
 }
@@ -93,12 +111,8 @@ void
 CoverageMap::clear()
 {
     std::memset(trans_, 0, sizeof(trans_));
-    for (NamedDim &dim : dims_) {
-        dim.ids.clear();
-        dim.keys.clear();
-        dim.counts.clear();
-    }
-    gen_ = nextGeneration();
+    for (std::vector<Slot> &slots : dims_)
+        std::fill(slots.begin(), slots.end(), Slot{});
 }
 
 bool
@@ -109,9 +123,10 @@ CoverageMap::empty() const
             for (int e = 0; e < kNumLineEvents; ++e)
                 if (trans_[k][s][e])
                     return false;
-    for (const NamedDim &dim : dims_)
-        if (!dim.keys.empty())
-            return false;
+    for (const std::vector<Slot> &slots : dims_)
+        for (const Slot &slot : slots)
+            if (slot.present)
+                return false;
     return true;
 }
 

@@ -21,12 +21,18 @@
  *
  * Overhead contract: with no map installed every instrumented site
  * costs one thread-local load and one branch (the same discipline as
- * the `if (sink_)` trace path); bench/trace_overhead gates the
- * coverage-ON path at <= 3%. Per-sample sites too hot even for an
- * interned-id bump (latency buckets) accumulate into private pending
- * arrays and flush once per scope via registerCoverageFlush().
- * Recording never touches StatSet or any simulator state, so reports
- * stay byte-identical with coverage on.
+ * the `if (sink_)` trace path). With one installed, a hit is an array
+ * bump: named keys have process-wide dense ids (globalKeyId()) that
+ * components resolve once, so no key is hashed per map or per run, and
+ * merge() is an element-wise add. perfbench litmus_coverage, which
+ * gives every job a fresh map, simulates at 95 host ns per tick against
+ * 79 with coverage off (traced, 4-core Xeon); bench/trace_overhead
+ * gates one shared map at <= 3% and reports the fresh-map-per-run
+ * shape as coverage_per_run_map_overhead_pct. Per-sample sites
+ * (latency buckets) accumulate into private pending arrays and flush
+ * once per scope via registerCoverageFlush(). Recording never touches
+ * StatSet or any simulator state, so reports stay byte-identical with
+ * coverage on.
  *
  * Threading/merge model (mirrors per-job stats): each campaign job owns
  * a private CoverageMap, installed for the duration of System::run via
@@ -46,8 +52,9 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "coherence/protocol.hh"
@@ -66,8 +73,6 @@ class CoverageMap
         Outcome, ///< "test<TAB>policy<TAB>machine<TAB>outcome key"
     };
     static constexpr int kNumDims = 3;
-
-    CoverageMap();
 
     // ------------------------------------------------------------------
     // Transition dimension (dense, hot).
@@ -91,76 +96,84 @@ class CoverageMap
     // Named-key dimensions.
 
     /**
-     * Intern @p key in dimension @p d, returning its dense id (stable
-     * for the life of this map, until clear()). Interning alone seeds
-     * the key at count 0 — how allowed-but-unobserved outcomes enter
-     * the report.
+     * The process-wide id of @p key in dimension @p d: dense, stable
+     * for the life of the process and shared by every map and thread.
+     * Takes a lock and hashes the key, so components call it when they
+     * first resolve their ids, never per hit, map or run.
      */
-    std::uint32_t internKey(Dim d, const std::string &key);
+    static std::uint32_t globalKeyId(Dim d, const std::string &key);
 
-    /** Bump an interned key by @p n (the hot path for cached ids). */
+    /**
+     * Mark @p key present in this map, returning its global id.
+     * Interning alone seeds the key at count 0 — how allowed-but-
+     * unobserved outcomes enter the report.
+     */
+    std::uint32_t
+    internKey(Dim d, const std::string &key)
+    {
+        std::uint32_t id = globalKeyId(d, key);
+        hit(d, id, 0);
+        return id;
+    }
+
+    /** Mark every id of @p ids present (count 0 until hit): a stall
+     * family or histogram seeds its whole key set on first use. */
+    void
+    seed(Dim d, std::span<const std::uint32_t> ids)
+    {
+        for (std::uint32_t id : ids)
+            hit(d, id, 0);
+    }
+
+    /** Bump global id @p id by @p n (marking it present). */
     void
     hit(Dim d, std::uint32_t id, std::uint64_t n = 1)
     {
-        dims_[static_cast<int>(d)].counts[id] += n;
+        std::vector<Slot> &slots = dims_[static_cast<int>(d)];
+        if (id >= slots.size())
+            slots.resize(id + 1);
+        slots[id].count += n;
+        slots[id].present = true;
     }
 
-    /** Intern-and-bump in one call (cold paths). */
+    /** Resolve-and-bump in one call (cold paths). */
     void
     hitKey(Dim d, const std::string &key, std::uint64_t n = 1)
     {
-        hit(d, internKey(d, key), n);
+        hit(d, globalKeyId(d, key), n);
     }
 
-    /** Keys of dimension @p d in intern order (id == index). */
-    const std::vector<std::string> &
-    keys(Dim d) const
-    {
-        return dims_[static_cast<int>(d)].keys;
-    }
-
-    /** Counts of dimension @p d, parallel to keys(). */
-    const std::vector<std::uint64_t> &
-    counts(Dim d) const
-    {
-        return dims_[static_cast<int>(d)].counts;
-    }
+    /** The present keys of dimension @p d with their counts, in id
+     * order. */
+    std::vector<std::pair<std::string, std::uint64_t>>
+    entries(Dim d) const;
 
     // ------------------------------------------------------------------
     // Lifecycle.
 
-    /** Accumulate @p other into this map (keys union, counts sum;
-     * zero-count seeded keys are carried over too). */
+    /** Accumulate @p other into this map (present keys union, counts
+     * sum; zero-count seeded keys are carried over too). */
     void merge(const CoverageMap &other);
 
-    /** Drop every key and zero every counter. Bumps generation(): any
-     * cached interned ids are invalidated. */
+    /** Zero every counter and drop every key. Ids stay valid. */
     void clear();
-
-    /**
-     * Identity token for call-site id caches. Unique per live map and
-     * per clear() — a component may cache interned ids for the pair
-     * (map pointer, generation) and re-intern when either changes
-     * (a stack-allocated per-job map can reuse a sibling's address, so
-     * the pointer alone is not an identity).
-     */
-    std::uint64_t generation() const { return gen_; }
 
     /** True when nothing has been recorded or seeded. */
     bool empty() const;
 
   private:
-    struct NamedDim
+    /** Per-id state, indexed by global id. The arrays stay empty until
+     * the first hit, so a map constructed with coverage off allocates
+     * nothing. */
+    struct Slot
     {
-        std::unordered_map<std::string, std::uint32_t> ids;
-        std::vector<std::string> keys;
-        std::vector<std::uint64_t> counts;
+        std::uint64_t count = 0;
+        bool present = false;
     };
 
     std::uint64_t trans_[kNumProtocolKinds][kNumLineStates]
-                        [kNumLineEvents];
-    std::array<NamedDim, kNumDims> dims_;
-    std::uint64_t gen_;
+                        [kNumLineEvents] = {};
+    std::array<std::vector<Slot>, kNumDims> dims_;
 };
 
 namespace detail {

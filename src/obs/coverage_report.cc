@@ -99,24 +99,20 @@ StandingCoverage::addCoverage(const CoverageMap &map)
         }
     }
     using Dim = CoverageMap::Dim;
-    const std::vector<std::string> &sk = map.keys(Dim::Stall);
-    for (std::size_t i = 0; i < sk.size(); ++i)
-        stalls[sk[i]] += map.counts(Dim::Stall)[i];
-    const std::vector<std::string> &bk = map.keys(Dim::Bucket);
-    for (std::size_t i = 0; i < bk.size(); ++i)
-        buckets[bk[i]] += map.counts(Dim::Bucket)[i];
-    const std::vector<std::string> &ok = map.keys(Dim::Outcome);
-    for (std::size_t i = 0; i < ok.size(); ++i) {
-        std::vector<std::string> f = splitTabs(ok[i]);
+    for (const auto &[k, n] : map.entries(Dim::Stall))
+        stalls[k] += n;
+    for (const auto &[k, n] : map.entries(Dim::Bucket))
+        buckets[k] += n;
+    for (const auto &[k, n] : map.entries(Dim::Outcome)) {
+        std::vector<std::string> f = splitTabs(k);
         if (f.size() != 4) {
             // A malformed composite key would silently vanish from the
             // report; fail loudly instead (runner bug).
             throw std::runtime_error(
                 "coverage outcome key is not test\\tpolicy\\tmachine"
-                "\\tkey: '" + ok[i] + "'");
+                "\\tkey: '" + k + "'");
         }
-        outcomes[{f[0], f[1], f[2], f[3]}] +=
-            map.counts(Dim::Outcome)[i];
+        outcomes[{f[0], f[1], f[2], f[3]}] += n;
     }
 }
 

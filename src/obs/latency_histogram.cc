@@ -1,34 +1,12 @@
 #include "obs/latency_histogram.hh"
 
 #include <iomanip>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
 
 namespace wo {
-
-namespace {
-
-/**
- * Interned bucket-id cache shared by every histogram on this thread,
- * keyed by instance-stripped family prefix. Campaign runs construct a
- * fresh System (and so fresh histograms) per job, but install the same
- * CoverageMap for thousands of runs — a per-histogram cache would
- * rebuild and re-hash all kBuckets key strings every run, which shows
- * up in the trace_overhead coverage gate.
- */
-struct BucketIdCache
-{
-    CoverageMap *map = nullptr;
-    std::uint64_t gen = 0;
-    std::unordered_map<std::string,
-                       std::array<std::uint32_t, LatencyHistogram::kBuckets>>
-        ids;
-};
-
-thread_local BucketIdCache t_bucket_ids;
-
-} // namespace
 
 void
 LatencyHistogram::internHandles()
@@ -46,32 +24,48 @@ LatencyHistogram::internHandles()
     interned_ = true;
 }
 
+namespace {
+
+/**
+ * The bucket ids of histogram family @p family ("lat_msg"), resolved
+ * once per process: Systems built per run construct fresh histograms,
+ * and resolving 34 keys per histogram per run shows up in the
+ * trace_overhead coverage gate.
+ */
+const std::array<std::uint32_t, LatencyHistogram::kBuckets> &
+bucketIds(const std::string &family)
+{
+    static std::mutex mu;
+    static std::unordered_map<
+        std::string, std::array<std::uint32_t, LatencyHistogram::kBuckets>>
+        table;
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, fresh] = table.try_emplace(family);
+    if (fresh) {
+        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
+            it->second[i] = CoverageMap::globalKeyId(
+                CoverageMap::Dim::Bucket, family + "/bucket_" +
+                                              (i < 10 ? "0" : "") +
+                                              std::to_string(i));
+        }
+    }
+    return it->second;
+}
+
+} // namespace
+
 void
 LatencyHistogram::flushCoverage(void *self, CoverageMap *cov)
 {
     auto *h = static_cast<LatencyHistogram *>(self);
     if (cov != nullptr) {
-        BucketIdCache &cache = t_bucket_ids;
-        if (cov != cache.map || cov->generation() != cache.gen) {
-            cache.ids.clear();
-            cache.map = cov;
-            cache.gen = cov->generation();
-        }
-        auto [it, fresh] =
-            cache.ids.try_emplace(stripInstance(h->prefix_));
-        if (fresh) {
-            for (int i = 0; i < kBuckets; ++i) {
-                std::string key = it->first + "/bucket_";
-                if (i < 10)
-                    key += '0';
-                key += std::to_string(i);
-                it->second[i] =
-                    cov->internKey(CoverageMap::Dim::Bucket, key);
-            }
-        }
+        if (h->cov_ids_ == nullptr)
+            h->cov_ids_ = &bucketIds(stripInstance(h->prefix_));
+        const auto &ids = *h->cov_ids_;
+        cov->seed(CoverageMap::Dim::Bucket, ids);
         for (int i = 0; i < kBuckets; ++i) {
             if (h->cov_pending_[i] != 0) {
-                cov->hit(CoverageMap::Dim::Bucket, it->second[i],
+                cov->hit(CoverageMap::Dim::Bucket, ids[i],
                          h->cov_pending_[i]);
             }
         }

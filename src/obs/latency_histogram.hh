@@ -84,8 +84,8 @@ class LatencyHistogram
      * observed when only coverage is enabled. No-op with no map
      * installed. Samples land in a private pending array and reach
      * the map when the installing CoverageScope closes — this is a
-     * per-message/per-op path, and even an interned-id map bump per
-     * sample shows up in the trace_overhead coverage gate.
+     * per-message/per-op path, and even a map id bump per sample
+     * shows up in the trace_overhead coverage gate.
      */
     void
     coverOnly(Tick v)
@@ -147,12 +147,12 @@ class LatencyHistogram
     StatHandle total_handle_;
     StatHandle max_handle_;
 
-    /** Per-sample deltas awaiting a deferred flush (see coverOnly).
-     * Interned-id caching lives in a thread-local shared by all
-     * histograms (see latency_histogram.cc) because campaign jobs
-     * construct fresh histograms per run. */
+    /** Per-sample deltas awaiting a deferred flush (see coverOnly),
+     * and the buckets' global coverage ids, resolved at the first
+     * flush into a map. */
     std::array<std::uint64_t, kBuckets> cov_pending_{};
     bool cov_dirty_ = false;
+    const std::array<std::uint32_t, kBuckets> *cov_ids_ = nullptr;
 
     std::array<std::uint64_t, kBuckets> counts_;
     std::uint64_t count_ = 0;

@@ -35,12 +35,12 @@ namespace wo {
 class StallReasonFamily
 {
   public:
-    /** Opaque reason identity: stat handle plus the family-local index
-     * the coverage key is filed under. */
+    /** Opaque reason identity: stat handle plus the global id of the
+     * reason's coverage key. */
     struct Token
     {
         StatHandle handle;
-        std::uint32_t idx = 0;
+        std::uint32_t covId = 0;
     };
 
     StallReasonFamily() = default;
@@ -57,56 +57,34 @@ class StallReasonFamily
     Token
     addReason(const std::string &name)
     {
-        Token t{stats_->handle(name),
-                static_cast<std::uint32_t>(reasons_.size())};
-        reasons_.push_back(t.handle);
         // Coverage keys strip the owning instance ("cache3.") so every
         // cache of a machine lands on one "family/reason" row.
-        cov_keys_.push_back(family_key_ + "/" + stripInstance(name));
+        Token t{stats_->handle(name),
+                CoverageMap::globalKeyId(CoverageMap::Dim::Stall,
+                                         family_key_ + "/" +
+                                             stripInstance(name))};
+        cov_ids_.push_back(t.covId);
         return t;
     }
 
-    /** Count one stall: bumps the reason and the total together (and
-     * the coverage row, when a CoverageMap is installed). */
+    /** Count one stall: bumps the reason and the total together (and,
+     * when a CoverageMap is installed, the coverage row, seeding every
+     * reason of the family at 0). */
     void
     bump(Token reason)
     {
         stats_->inc(reason.handle);
         stats_->inc(total_);
-        if (CoverageMap *cov = activeCoverage())
-            coverHit(cov, reason.idx);
+        if (CoverageMap *cov = activeCoverage()) {
+            cov->seed(CoverageMap::Dim::Stall, cov_ids_);
+            cov->hit(CoverageMap::Dim::Stall, reason.covId);
+        }
     }
-
-    /** Number of registered reasons (diagnostics). */
-    std::size_t numReasons() const { return reasons_.size(); }
 
   private:
-    /** Bump the coverage row via cached interned ids, re-interning
-     * when the installed map (or its generation) changed — the hot
-     * path must not hash key strings per stall. */
-    void
-    coverHit(CoverageMap *cov, std::uint32_t idx)
-    {
-        if (cov != cov_map_ || cov->generation() != cov_gen_) {
-            cov_ids_.clear();
-            for (const std::string &k : cov_keys_) {
-                cov_ids_.push_back(
-                    cov->internKey(CoverageMap::Dim::Stall, k));
-            }
-            cov_map_ = cov;
-            cov_gen_ = cov->generation();
-        }
-        cov->hit(CoverageMap::Dim::Stall, cov_ids_[idx]);
-    }
-
     StatSet *stats_ = nullptr;
     StatHandle total_;
     std::string family_key_;
-    std::vector<StatHandle> reasons_;
-    std::vector<std::string> cov_keys_;
-
-    CoverageMap *cov_map_ = nullptr;
-    std::uint64_t cov_gen_ = 0;
     std::vector<std::uint32_t> cov_ids_;
 };
 

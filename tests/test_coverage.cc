@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -20,7 +21,11 @@
 #include "litmus/runner.hh"
 #include "obs/coverage.hh"
 #include "obs/coverage_report.hh"
+#include "obs/latency_histogram.hh"
+#include "obs/stall_stats.hh"
+#include "system/machine_spec.hh"
 #include "system/system.hh"
+#include "workload/litmus.hh"
 
 namespace wo {
 namespace {
@@ -60,6 +65,16 @@ hitAllLegal(CoverageMap &map, ProtocolKind k)
     }
 }
 
+/** Count of @p key in dimension @p d, or nullopt when not present. */
+std::optional<std::uint64_t>
+countOf(const CoverageMap &map, CoverageMap::Dim d, const std::string &key)
+{
+    for (const auto &[k, n] : map.entries(d))
+        if (k == key)
+            return n;
+    return std::nullopt;
+}
+
 int
 legalCount(ProtocolKind k)
 {
@@ -93,9 +108,9 @@ TEST(CoverageMap, RecordsTransitionsAndNamedKeys)
               0u);
 
     map.hitKey(CoverageMap::Dim::Stall, "proc_stall/fence", 3);
-    ASSERT_EQ(map.keys(CoverageMap::Dim::Stall).size(), 1u);
-    EXPECT_EQ(map.keys(CoverageMap::Dim::Stall)[0], "proc_stall/fence");
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Stall)[0], 3u);
+    using Entries = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(map.entries(CoverageMap::Dim::Stall),
+              (Entries{{"proc_stall/fence", 3}}));
     EXPECT_FALSE(map.empty());
 }
 
@@ -104,12 +119,15 @@ TEST(CoverageMap, InternAloneSeedsKeyAtZero)
     CoverageMap map;
     std::uint32_t id =
         map.internKey(CoverageMap::Dim::Bucket, "lat_x/bucket_03");
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Bucket)[id], 0u);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Bucket, "lat_x/bucket_03"),
+              0u);
+    EXPECT_FALSE(map.empty());
     // Re-interning returns the same id.
     EXPECT_EQ(map.internKey(CoverageMap::Dim::Bucket, "lat_x/bucket_03"),
               id);
     map.hit(CoverageMap::Dim::Bucket, id);
-    EXPECT_EQ(map.counts(CoverageMap::Dim::Bucket)[id], 1u);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Bucket, "lat_x/bucket_03"),
+              1u);
 }
 
 TEST(CoverageMap, MergeIsAssociativeAndCommutative)
@@ -158,20 +176,112 @@ TEST(CoverageMap, MergeIsAssociativeAndCommutative)
               std::string::npos);
 }
 
-TEST(CoverageMap, ClearBumpsGenerationAndEmpties)
+TEST(CoverageMap, ClearEmptiesAndIdsStayValid)
 {
     CoverageMap map;
-    std::uint64_t gen = map.generation();
     map.hitTransition(ProtocolKind::Msi, LineState::Shared,
                       LineEvent::Load);
-    map.hitKey(CoverageMap::Dim::Stall, "k");
+    std::uint32_t id = map.internKey(CoverageMap::Dim::Stall, "k");
+    map.hit(CoverageMap::Dim::Stall, id, 2);
     map.clear();
     EXPECT_TRUE(map.empty());
-    EXPECT_NE(map.generation(), gen);
     EXPECT_EQ(map.transitionCount(ProtocolKind::Msi, LineState::Shared,
                                   LineEvent::Load),
               0u);
-    EXPECT_TRUE(map.keys(CoverageMap::Dim::Stall).empty());
+    EXPECT_TRUE(map.entries(CoverageMap::Dim::Stall).empty());
+
+    // The id outlives clear() and is shared by every map.
+    map.hit(CoverageMap::Dim::Stall, id);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Stall, "k"), 1u);
+    CoverageMap other;
+    EXPECT_EQ(other.internKey(CoverageMap::Dim::Stall, "k"), id);
+    EXPECT_EQ(CoverageMap::globalKeyId(CoverageMap::Dim::Stall, "k"), id);
+    other.hit(CoverageMap::Dim::Stall, id, 4);
+    map.merge(other);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Stall, "k"), 5u);
+    // Dimensions number their keys independently.
+    EXPECT_EQ(countOf(other, CoverageMap::Dim::Bucket, "k"), std::nullopt);
+}
+
+TEST(CoverageMap, StallHitSeedsFamilySiblingsAtZero)
+{
+    StatSet stats;
+    StallReasonFamily fam(stats, "cache7.seed_test_total");
+    fam.addReason("cache7.seed_a");
+    StallReasonFamily::Token b = fam.addReason("cache7.seed_b");
+    fam.addReason("cache7.seed_c");
+
+    CoverageMap map;
+    {
+        CoverageScope scope(&map);
+        fam.bump(b);
+    }
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Stall, "seed_test_total/seed_a"),
+              0u);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Stall, "seed_test_total/seed_b"),
+              1u);
+    EXPECT_EQ(countOf(map, CoverageMap::Dim::Stall, "seed_test_total/seed_c"),
+              0u);
+    EXPECT_EQ(map.entries(CoverageMap::Dim::Stall).size(), 3u);
+}
+
+TEST(CoverageMap, LatencySampleSeedsAllBuckets)
+{
+    StatSet stats;
+    LatencyHistogram h(stats, "proc9.lat_seed_test");
+    CoverageMap map;
+    {
+        CoverageScope scope(&map);
+        h.coverOnly(5); // bucket 3: 4..7 ticks
+    }
+    const auto entries = map.entries(CoverageMap::Dim::Bucket);
+    ASSERT_EQ(entries.size(),
+              static_cast<std::size_t>(LatencyHistogram::kBuckets));
+    for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        std::string key = std::string("lat_seed_test/bucket_") +
+                          (i < 10 ? "0" : "") + std::to_string(i);
+        EXPECT_EQ(countOf(map, CoverageMap::Dim::Bucket, key),
+                  i == 3 ? 1u : 0u)
+            << key;
+    }
+    // Coverage-only samples never reach the histogram or its stats.
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_TRUE(stats.all().empty());
+}
+
+TEST(CoverageMap, PerRunMapsMergeToOneSharedMap)
+{
+    const MultiProgram progs[] = {tttasLockCounter(3, 2),
+                                  tasLockCounter(2, 2)};
+    for (const char *machine : {"bus-mesi", "net-l2"}) {
+        CoverageMap shared, campaign;
+        for (const MultiProgram &mp : progs) {
+            for (PolicyKind pk : {PolicyKind::Sc, PolicyKind::Def2Drf0}) {
+                for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                    SystemConfig cfg =
+                        machineOrThrow(machine).config(pk, seed);
+                    cfg.coverage = &shared;
+                    System(mp, cfg).run();
+                    CoverageMap job;
+                    cfg.coverage = &job;
+                    System(mp, cfg).run();
+                    campaign.merge(job);
+                }
+            }
+        }
+        for (CoverageMap::Dim d :
+             {CoverageMap::Dim::Stall, CoverageMap::Dim::Bucket,
+              CoverageMap::Dim::Outcome}) {
+            EXPECT_EQ(campaign.entries(d), shared.entries(d)) << machine;
+        }
+        EXPECT_FALSE(shared.entries(CoverageMap::Dim::Bucket).empty());
+        // Any processor stall seeds every proc_stall reason.
+        int proc_stall_keys = 0;
+        for (const auto &[k, n] : shared.entries(CoverageMap::Dim::Stall))
+            proc_stall_keys += k.rfind("proc_stall/", 0) == 0 ? 1 : 0;
+        EXPECT_EQ(proc_stall_keys, kNumStallReasons) << machine;
+        EXPECT_EQ(render(campaign), render(shared)) << machine;
+    }
 }
 
 TEST(CoverageMap, StripInstanceDropsLeadingComponent)

@@ -250,6 +250,17 @@ TEST(ReplayFormat, UnknownOpByteIsRejected)
 }
 
 #ifdef WO_REPLAY_BIN
+/** Exit status of the wo-replay binary run with @p args. */
+int
+exitOf(const std::string &args)
+{
+    std::string cmd = std::string(WO_REPLAY_BIN) + " " + args +
+                      " > /dev/null 2> /dev/null";
+    int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+    return WEXITSTATUS(rc);
+}
+
 TEST(WoReplayTool, MalformedTracesExitTwo)
 {
     TempTrace src("tool_src"), cut("tool_cut"), bad("tool_bad");
@@ -259,19 +270,47 @@ TEST(WoReplayTool, MalformedTracesExitTwo)
     bytes[static_cast<std::size_t>(u64At(bytes, tableOff))] =
         static_cast<char>(0xff);
     spit(bad.path(), bytes);
-    auto exitOf = [](const std::string &args) {
-        std::string cmd = std::string(WO_REPLAY_BIN) + " " + args +
-                          " > /dev/null 2> /dev/null";
-        int rc = std::system(cmd.c_str());
-        EXPECT_TRUE(WIFEXITED(rc)) << cmd;
-        return WEXITSTATUS(rc);
-    };
     EXPECT_EQ(exitOf("info " + src.path()), 0);
     for (const std::string *f : {&cut.path(), &bad.path()}) {
         EXPECT_EQ(exitOf("info " + *f), 2) << *f;
         EXPECT_EQ(exitOf("verify " + *f), 2) << *f;
         EXPECT_EQ(exitOf("sim " + *f), 2) << *f;
     }
+}
+
+TEST(WoReplayTool, BadNumericFlagsExitTwo)
+{
+    TempTrace src("flags_src"), out("flags_out");
+    std::size_t tableOff = 0;
+    spinlockBytes(src.path(), tableOff);
+    const std::string f = " " + src.path();
+    EXPECT_EQ(exitOf("verify --window=32" + f), 0);
+    // Non-numeric, negative, signed, empty, trailing text, out of range.
+    for (const char *bad :
+         {"verify --window=abc", "verify --window=-1", "verify --window=",
+          "verify --window=+8", "verify --window=8k",
+          "verify --window=2147483648", "verify --seed=x",
+          "verify --seed=18446744073709551616", "sim --chunk=-1",
+          "sim --chunk=0", "sim --window=abc", "sim --seed=-3",
+          "sim --max-ticks=0", "sim --max-ticks=lots"}) {
+        EXPECT_EQ(exitOf(bad + f), 2) << bad;
+    }
+    for (const char *bad : {"gen --threads=x", "gen --threads=0",
+                            "gen --rounds=-5", "gen --ops=1.5",
+                            "gen --seed=-1"}) {
+        EXPECT_EQ(exitOf(std::string(bad) + " " + out.path()), 2) << bad;
+    }
+}
+
+TEST(WoReplayTool, MaxTicksSetsTheTickLimit)
+{
+    TempTrace src("ticks_src");
+    std::size_t tableOff = 0;
+    spinlockBytes(src.path(), tableOff);
+    // Too low a limit stops the replay short (exit 1); a raised one
+    // lets it finish.
+    EXPECT_EQ(exitOf("sim --max-ticks=100 " + src.path()), 1);
+    EXPECT_EQ(exitOf("sim --max-ticks=50000000 " + src.path()), 0);
 }
 #endif // WO_REPLAY_BIN
 

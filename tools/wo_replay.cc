@@ -28,17 +28,23 @@
  *   --policy=NAME     sc|def1|def2drf0|def2drf1|relaxed      [def2drf0]
  *   --window=N        resident-trace window; 0 = whole trace [16384]
  *   --chunk=N         simulated ticks between checker drains [4096]
+ *   --max-ticks=N     livelock tick limit           [machine default]
  *   --all-races       oracle-mode race enumeration
  *   --seed=S          network seed                           [1]
  *   --json[=FILE]     machine-readable result
+ *
+ * Numeric flags take a plain decimal: a sign, trailing text or a value
+ * out of the flag's range is bad usage.
  *
  * Exit status: 0 race-free (or gen/info success), 1 races found or replay
  * failed, 2 bad usage / unreadable or malformed trace (truncated, thread
  * table out of range, unknown op byte).
  */
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,9 +68,36 @@ usage(std::ostream &os)
           "       wo-replay verify [--window=N] [--all-races] [--seed=S]\n"
           "                     [--json[=FILE]] <file>\n"
           "       wo-replay sim [--machine=NAME] [--policy=NAME]\n"
-          "                     [--window=N] [--chunk=N] [--all-races]\n"
-          "                     [--seed=S] [--json[=FILE]] <file>\n";
+          "                     [--window=N] [--chunk=N] [--max-ticks=N]\n"
+          "                     [--all-races] [--seed=S] [--json[=FILE]]\n"
+          "                     <file>\n";
     return 2;
+}
+
+/**
+ * Store the value of numeric flag @p arg ("--window=64") in @p out: a
+ * plain decimal in [@p lo, max of T]. Anything else — empty, a sign,
+ * trailing text, out of range — prints why and returns false (the
+ * caller exits 2).
+ */
+template <typename T>
+bool
+numericFlag(const std::string &arg, T &out, T lo = 0)
+{
+    const std::size_t eq = arg.find('=');
+    const char *first = arg.data() + eq + 1;
+    const char *last = arg.data() + arg.size();
+    T v{};
+    auto [end, ec] = std::from_chars(first, last, v);
+    if (first == last || *first == '-' || ec != std::errc() ||
+        end != last || v < lo) {
+        std::cerr << "wo-replay: bad " << arg.substr(0, eq) << " '"
+                  << arg.substr(eq + 1) << "': want an integer in [" << lo
+                  << ", " << std::numeric_limits<T>::max() << "]\n";
+        return false;
+    }
+    out = v;
+    return true;
 }
 
 bool
@@ -144,15 +177,19 @@ cmdGen(const std::vector<std::string> &args)
     for (const std::string &arg : args) {
         if (arg.rfind("--workload=", 0) == 0)
             workload = arg.substr(11);
-        else if (arg.rfind("--threads=", 0) == 0)
-            cfg.threads = std::atoi(arg.c_str() + 10);
-        else if (arg.rfind("--rounds=", 0) == 0)
-            cfg.rounds = std::atoi(arg.c_str() + 9);
-        else if (arg.rfind("--ops=", 0) == 0)
-            cfg.opsPerRound = std::atoi(arg.c_str() + 6);
-        else if (arg.rfind("--seed=", 0) == 0)
-            cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--inject-race")
+        else if (arg.rfind("--threads=", 0) == 0) {
+            if (!numericFlag(arg, cfg.threads, 1))
+                return 2;
+        } else if (arg.rfind("--rounds=", 0) == 0) {
+            if (!numericFlag(arg, cfg.rounds, 1))
+                return 2;
+        } else if (arg.rfind("--ops=", 0) == 0) {
+            if (!numericFlag(arg, cfg.opsPerRound, 1))
+                return 2;
+        } else if (arg.rfind("--seed=", 0) == 0) {
+            if (!numericFlag(arg, cfg.seed))
+                return 2;
+        } else if (arg == "--inject-race")
             cfg.injectRace = true;
         else if (!arg.empty() && arg[0] == '-')
             return usage(std::cerr);
@@ -161,8 +198,7 @@ cmdGen(const std::vector<std::string> &args)
         else
             return usage(std::cerr);
     }
-    if (file.empty() || cfg.threads <= 0 || cfg.rounds <= 0 ||
-        cfg.opsPerRound <= 0)
+    if (file.empty())
         return usage(std::cerr);
     if (!writeWorkloadTrace(workload, file, cfg)) {
         std::cerr << "wo-replay: cannot generate '" << workload
@@ -220,13 +256,15 @@ cmdVerify(const std::vector<std::string> &args)
     std::string json_file;
     bool json = false;
     for (const std::string &arg : args) {
-        if (arg.rfind("--window=", 0) == 0)
-            opt.window = std::atoi(arg.c_str() + 9);
-        else if (arg == "--all-races")
+        if (arg.rfind("--window=", 0) == 0) {
+            if (!numericFlag(arg, opt.window))
+                return 2;
+        } else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0) {
+            if (!numericFlag(arg, opt.seed))
+                return 2;
+        } else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;
@@ -238,7 +276,7 @@ cmdVerify(const std::vector<std::string> &args)
         else
             return usage(std::cerr);
     }
-    if (file.empty() || opt.window < 0)
+    if (file.empty())
         return usage(std::cerr);
 
     ReplayTraceReader reader;
@@ -289,15 +327,21 @@ cmdSim(const std::vector<std::string> &args)
                           << "'\n";
                 return 2;
             }
-        } else if (arg.rfind("--window=", 0) == 0)
-            opt.window = std::atoi(arg.c_str() + 9);
-        else if (arg.rfind("--chunk=", 0) == 0)
-            opt.chunkTicks = std::atoll(arg.c_str() + 8);
-        else if (arg == "--all-races")
+        } else if (arg.rfind("--window=", 0) == 0) {
+            if (!numericFlag(arg, opt.window))
+                return 2;
+        } else if (arg.rfind("--chunk=", 0) == 0) {
+            if (!numericFlag(arg, opt.chunkTicks, Tick{1}))
+                return 2;
+        } else if (arg.rfind("--max-ticks=", 0) == 0) {
+            if (!numericFlag(arg, opt.maxTicks, Tick{1}))
+                return 2;
+        } else if (arg == "--all-races")
             opt.mode = RaceDetectMode::AllRaces;
-        else if (arg.rfind("--seed=", 0) == 0)
-            opt.netSeed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-        else if (arg == "--json")
+        else if (arg.rfind("--seed=", 0) == 0) {
+            if (!numericFlag(arg, opt.netSeed))
+                return 2;
+        } else if (arg == "--json")
             json = true;
         else if (arg.rfind("--json=", 0) == 0) {
             json = true;
@@ -309,7 +353,7 @@ cmdSim(const std::vector<std::string> &args)
         else
             return usage(std::cerr);
     }
-    if (file.empty() || opt.window < 0 || opt.chunkTicks <= 0)
+    if (file.empty())
         return usage(std::cerr);
 
     ReplayTraceReader reader;

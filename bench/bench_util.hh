@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,14 +48,20 @@ struct BenchOptions
  * honouring WO_THREADS, --seed=S / --seed S, --machines=LIST of
  * machine-registry names, --quick, and --json=FILE) from argv before it
  * is handed to google-benchmark, which rejects flags it does not know.
- * Exits with status 2 on an unknown machine name.
+ * Exits with status 2 on an unknown machine name or a malformed number.
  */
 inline BenchOptions
 consumeBenchFlags(int &argc, char **argv)
 {
     BenchOptions opts;
-    opts.threads = consumeThreadsFlag(argc, argv);
-    opts.baseSeed = consumeSeedFlag(argc, argv);
+    try {
+        opts.threads = consumeThreadsFlag(argc, argv);
+        campaignThreads(opts.threads); // vets WO_THREADS up front
+        opts.baseSeed = consumeSeedFlag(argc, argv);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        std::exit(2);
+    }
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -189,21 +196,23 @@ writeEnvelopeHead(std::ostream &out, const std::string &bench, bool quick,
         << ",\n  \"reps\": " << reps << ",\n";
 }
 
-/** Dump @p stats inside a provenance envelope (writeEnvelopeHead). */
-inline void
+/** Dump @p stats inside a provenance envelope (writeEnvelopeHead).
+ * Returns false (after saying why) when @p file cannot be written. */
+inline bool
 dumpEnvelopeJson(const StatSet &stats, const std::string &file,
                  const std::string &bench, bool quick, int reps)
 {
     std::ofstream out(file);
     if (!out) {
         std::cerr << "cannot write " << file << "\n";
-        return;
+        return false;
     }
     writeEnvelopeHead(out, bench, quick, reps);
     out << "  \"stats\": ";
     stats.dumpJson(out, "", 2);
     out << "\n}\n";
     std::cout << "\njson written to " << file << "\n";
+    return true;
 }
 
 /**

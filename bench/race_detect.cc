@@ -14,12 +14,18 @@
  *  2. the sampled program check, online early-exit vs an offline
  *     reference that runs every schedule to completion and race-checks
  *     the full trace with the bitset oracle;
- *  3. one pass of sampled DRF0 checks over the litmus corpus, through
+ *  3. checkProgramSampled() on the perfbench contract_random program
+ *     shape (32 lock-disciplined programs of 4 processors, 6 spin-lock
+ *     sections each, 200 schedules per program): executions, steps,
+ *     accesses, and the cost per idealized-machine step;
+ *  4. one pass of sampled DRF0 checks over the litmus corpus, through
  *     the runner's Drf0Memo vs checkProgramSampled() directly.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
  * --quick shrinks repetitions and corpus seeds for CI smoke runs; the
- * measured shape (and the JSON schema) is identical.
+ * measured shape (and the JSON schema) is identical. The JSON carries
+ * the bench_util provenance envelope (commit, build type, machine,
+ * quick, reps).
  */
 
 #include <chrono>
@@ -262,6 +268,85 @@ benchSampledCheck(StatSet &stats, bool quick)
 }
 
 void
+benchContractShape(StatSet &stats, bool quick)
+{
+    benchutil::banner("Sampled DRF0 on the contract_random program shape");
+    const int programs = 32;
+    const int schedules = 200;
+    const std::uint64_t seed = 1;
+    const int reps = quick ? 1 : 5;
+    std::vector<MultiProgram> progs;
+    for (int i = 0; i < programs; ++i) {
+        RandomWorkloadConfig cfg;
+        cfg.numProcs = 4;
+        cfg.numLocks = 2;
+        cfg.locsPerLock = 3;
+        cfg.privateLocs = 2;
+        cfg.sectionsPerProc = 6;
+        cfg.opsPerSection = 3;
+        cfg.privateOpsBetween = 2;
+        cfg.spinAcquire = true;
+        cfg.seed = campaignJobSeed(1, i);
+        progs.push_back(randomDrf0Program(cfg));
+    }
+
+    // Count the work outside timing: the programs obey DRF0, so every
+    // schedule runs to completion, and replaying checkProgramSampled's
+    // processor draws reproduces its executions step for step.
+    std::uint64_t executions = 0, steps = 0, accesses = 0;
+    for (const MultiProgram &mp : progs) {
+        Drf0ProgramReport r = checkProgramSampled(mp, schedules, seed);
+        if (!r.obeysDrf0 || r.executions != schedules) {
+            std::cerr << "BUG: contract-shape program " << mp.name()
+                      << " did not sample " << schedules
+                      << " race-free executions\n";
+            std::exit(1);
+        }
+        executions += r.executions;
+        Rng rng(seed);
+        IdealizedMachine m(mp);
+        const int nprocs = mp.numProcs();
+        for (int s = 0; s < schedules; ++s) {
+            m.reset();
+            for (int k = 0; !m.allHalted() && k < 10000; ++k) {
+                ProcId p = static_cast<ProcId>(rng.below(nprocs));
+                while (m.halted(p))
+                    p = (p + 1) % nprocs;
+                m.step(p);
+            }
+            steps += m.steps();
+            accesses += static_cast<std::uint64_t>(m.trace().size());
+        }
+    }
+
+    std::uint64_t ns = bestNs(reps, [&] {
+        for (const MultiProgram &mp : progs) {
+            if (!checkProgramSampled(mp, schedules, seed).obeysDrf0)
+                std::exit(1);
+        }
+    });
+    const std::uint64_t ps_per_step = steps ? ns * 1000 / steps : 0;
+    stats.set("contract.programs", static_cast<std::uint64_t>(programs));
+    stats.set("contract.schedules", static_cast<std::uint64_t>(schedules));
+    stats.set("contract.executions", executions);
+    stats.set("contract.steps", steps);
+    stats.set("contract.accesses", accesses);
+    stats.set("contract.sampled_ns", ns);
+    stats.set("contract.ps_per_step", ps_per_step);
+    benchutil::Table table({"programs", "executions", "steps", "accesses",
+                            "wall", "ns/step"});
+    std::ostringstream per_step;
+    per_step << ps_per_step / 1000 << "." << (ps_per_step % 1000) / 100;
+    table.addRow({std::to_string(programs), std::to_string(executions),
+                  std::to_string(steps), std::to_string(accesses),
+                  fmtNs(ns), per_step.str()});
+    table.print();
+    std::cout << "\n(" << programs << " programs x " << schedules
+              << " schedules, seed " << seed << ", best of " << reps
+              << " passes; every execution checked race-free first)\n";
+}
+
+void
 benchCorpus(StatSet &stats, const std::string &dir, bool quick)
 {
     benchutil::banner(
@@ -333,9 +418,9 @@ main(int argc, char **argv)
     }
 
     StatSet stats;
-    stats.set("quick", quick ? 1 : 0);
     benchTraceChecks(stats, quick);
     benchSampledCheck(stats, quick);
+    benchContractShape(stats, quick);
     if (corpus && std::filesystem::is_directory(corpus_dir)) {
         benchCorpus(stats, corpus_dir, quick);
     } else if (corpus) {
@@ -343,13 +428,10 @@ main(int argc, char **argv)
                   << corpus_dir << ")\n";
     }
 
-    std::ofstream out(json_file);
-    if (!out) {
-        std::cerr << "race_detect: cannot write " << json_file << "\n";
-        return 2;
-    }
-    stats.dumpJson(out);
-    out << "\n";
-    std::cout << "\njson written to " << json_file << "\n";
-    return 0;
+    // reps: the per-trace section's best-of count; the other sections
+    // print their own.
+    return benchutil::dumpEnvelopeJson(stats, json_file, "race_detect",
+                                       quick, quick ? 3 : 7)
+               ? 0
+               : 2;
 }

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/sc_verifier.hh"
 #include "system/machine_spec.hh"
@@ -58,7 +59,12 @@ int
 main(int argc, char **argv)
 {
     using namespace wo;
-    g_threads = consumeThreadsFlag(argc, argv);
+    try {
+        g_threads = campaignThreads(consumeThreadsFlag(argc, argv));
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "litmus_explorer: " << e.what() << "\n";
+        return 2;
+    }
     int seeds = argc > 1 ? std::atoi(argv[1]) : 100;
 
     const Config configs[] = {

@@ -92,42 +92,41 @@ checkProgramSampled(const MultiProgram &program, int num_schedules,
     report.bounded = true;
     Rng rng(seed);
     int nprocs = program.numProcs();
+    // One machine and one detector serve every schedule: a reset costs
+    // only what the previous execution touched.
+    IdealizedMachine m(program);
     RaceDetector det(nprocs, RaceDetectMode::FirstRace);
+    m.attachRaceDetector(&det);
+    auto run = [&](Rng &draws, bool stopAtRace) {
+        int steps = 0;
+        while (!m.allHalted() && steps < max_steps_per_execution) {
+            // Pick a random non-halted processor.
+            ProcId p = static_cast<ProcId>(draws.below(nprocs));
+            while (m.halted(p))
+                p = p + 1 == nprocs ? 0 : p + 1;
+            m.step(p);
+            ++steps;
+            if (stopAtRace && det.hasRace())
+                break; // online early exit: first race decides
+        }
+    };
     for (int s = 0; s < num_schedules && report.obeysDrf0; ++s) {
         // Snapshot the RNG so a racy schedule can be replayed in full
         // for the witness (the stream itself is shared across schedules,
         // exactly as the offline checker consumed it).
         Rng sched_rng = rng;
-        IdealizedMachine m(program);
+        m.reset();
         det.reset(nprocs);
-        m.attachRaceDetector(&det);
-        int steps = 0;
-        while (!m.allHalted() && steps < max_steps_per_execution) {
-            // Pick a random non-halted processor.
-            ProcId p = static_cast<ProcId>(rng.below(nprocs));
-            while (m.halted(p))
-                p = (p + 1) % nprocs;
-            m.step(p);
-            ++steps;
-            if (det.hasRace())
-                break; // online early exit: first race decides
-        }
+        run(rng, true);
         ++report.executions;
         if (det.hasRace()) {
             report.obeysDrf0 = false;
             // Rebuild the full-trace witness the offline checker would
             // have reported: replay this schedule to completion.
-            IdealizedMachine w(program);
-            Rng replay = sched_rng;
-            int wsteps = 0;
-            while (!w.allHalted() && wsteps < max_steps_per_execution) {
-                ProcId p = static_cast<ProcId>(replay.below(nprocs));
-                while (w.halted(p))
-                    p = (p + 1) % nprocs;
-                w.step(p);
-                ++wsteps;
-            }
-            report.witness = w.trace();
+            m.attachRaceDetector(nullptr);
+            m.reset();
+            run(sched_rng, false);
+            report.witness = m.trace();
             report.witnessReport = checkTrace(report.witness);
         }
     }

@@ -8,48 +8,101 @@
 namespace wo {
 
 IdealizedMachine::IdealizedMachine(const MultiProgram &program)
-    : program_(program)
+    : nregs_(static_cast<std::size_t>(program.numRegisters())),
+      addrs_(program.touchedAddrs())
 {
-    int n = program.numProcs();
-    pcs_.assign(n, 0);
-    regs_.assign(n, std::vector<Word>(program.numRegisters(), 0));
-    halted_.assign(n, false);
-    poIndex_.assign(n, 0);
+    const int n = program.numProcs();
+    initial_.reserve(addrs_.size());
+    for (Addr a : addrs_) {
+        Word init = program.initialValue(a);
+        initial_.push_back(init);
+        trace_.setInitial(a, init);
+    }
+    code_.resize(static_cast<std::size_t>(n));
+    int static_insns = 0;
+    for (ProcId p = 0; p < n; ++p) {
+        const std::vector<Instruction> &insns = program.program(p).code();
+        static_insns += static_cast<int>(insns.size());
+        std::vector<Op> &code = code_[static_cast<std::size_t>(p)];
+        code.reserve(insns.size());
+        for (const Instruction &insn : insns) {
+            Op op;
+            op.insn = insn;
+            if (insn.isMemOp()) {
+                op.kind = insn.accessKind();
+                op.slot = static_cast<int>(
+                    std::lower_bound(addrs_.begin(), addrs_.end(),
+                                     insn.addr) -
+                    addrs_.begin());
+            }
+            code.push_back(op);
+        }
+    }
     // Static instruction count is a sound lower bound on the dynamic
     // access count; reserving it up front keeps straight-line recording
     // free of reallocation (loops still grow geometrically).
-    int static_insns = 0;
-    for (ProcId p = 0; p < n; ++p)
-        static_insns += program.program(p).size();
     trace_.reserve(std::min(static_insns, 4096));
-    touched_ = program.touchedAddrs();
-    for (Addr a : touched_) {
-        Word init = program.initialValue(a);
-        memory_[a] = init;
-        trace_.setInitial(a, init);
-    }
-    // A processor with an empty program is immediately halted.
-    for (ProcId p = 0; p < n; ++p) {
-        if (program.program(p).size() == 0)
-            halted_[p] = true;
+    pcs_.resize(static_cast<std::size_t>(n));
+    regs_.resize(static_cast<std::size_t>(n) * nregs_);
+    halted_.resize(static_cast<std::size_t>(n));
+    poIndex_.resize(static_cast<std::size_t>(n));
+    reset();
+}
+
+void
+IdealizedMachine::attachRaceDetector(RaceDetector *det)
+{
+    detector_ = det;
+    detSlot_.clear();
+    if (det) {
+        for (Addr a : addrs_)
+            detSlot_.push_back(det->slotOf(a));
     }
 }
 
-bool
-IdealizedMachine::allHalted() const
+void
+IdealizedMachine::reset()
 {
-    for (bool h : halted_) {
-        if (!h)
-            return false;
+    std::fill(pcs_.begin(), pcs_.end(), 0);
+    std::fill(regs_.begin(), regs_.end(), 0);
+    std::fill(poIndex_.begin(), poIndex_.end(), 0);
+    // A processor with an empty program is immediately halted.
+    running_ = 0;
+    for (std::size_t p = 0; p < code_.size(); ++p) {
+        halted_[p] = code_[p].empty();
+        running_ += !halted_[p];
     }
-    return true;
+    memory_ = initial_;
+    trace_.clearAccesses();
+    undo_.clear();
+    steps_ = 0;
 }
 
 Word
 IdealizedMachine::memory(Addr a) const
 {
-    auto it = memory_.find(a);
-    return it == memory_.end() ? 0 : it->second;
+    auto it = std::lower_bound(addrs_.begin(), addrs_.end(), a);
+    if (it == addrs_.end() || *it != a)
+        return 0;
+    return memory_[static_cast<std::size_t>(it - addrs_.begin())];
+}
+
+void
+IdealizedMachine::record(ProcId p, const Op &op, Word read, Word written)
+{
+    Access a;
+    a.proc = p;
+    a.poIndex = poIndex_[p]++;
+    a.kind = op.kind;
+    a.addr = op.insn.addr;
+    a.valueRead = read;
+    a.valueWritten = written;
+    a.commitTick = steps_;
+    a.gpTick = steps_;
+    trace_.add(a);
+    if (detector_)
+        detector_->onAccess(trace_.accesses().back(),
+                            detSlot_[static_cast<std::size_t>(op.slot)]);
 }
 
 bool
@@ -57,7 +110,10 @@ IdealizedMachine::step(ProcId p)
 {
     if (halted_[p])
         return false;
-    const Instruction &insn = program_.program(p).at(pcs_[p]);
+    const std::vector<Op> &code = code_[static_cast<std::size_t>(p)];
+    const Op &op = code[static_cast<std::size_t>(pcs_[p])];
+    const Instruction &insn = op.insn;
+    Word *regs = &regs_[regIndex(p, 0)];
 
     UndoRecord u;
     u.proc = p;
@@ -68,79 +124,54 @@ IdealizedMachine::step(ProcId p)
     switch (insn.op) {
       case Opcode::Load:
       case Opcode::SyncRead: {
-        Word v = memory_[insn.addr];
+        Word v = memory_[static_cast<std::size_t>(op.slot)];
         u.reg = insn.dst;
-        u.oldReg = regs_[p][insn.dst];
-        regs_[p][insn.dst] = v;
-        Access a;
-        a.proc = p;
-        a.poIndex = poIndex_[p]++;
-        a.kind = insn.accessKind();
-        a.addr = insn.addr;
-        a.valueRead = v;
-        a.commitTick = steps_;
-        a.gpTick = steps_;
-        trace_.add(a);
+        u.oldReg = regs[insn.dst];
+        regs[insn.dst] = v;
+        record(p, op, v, 0);
         u.recordedAccess = true;
         break;
       }
       case Opcode::Store:
       case Opcode::SyncWrite: {
-        Word v = insn.src >= 0 ? regs_[p][insn.src] : insn.imm;
-        u.memChanged = true;
-        u.addr = insn.addr;
-        u.oldMem = memory_[insn.addr];
-        memory_[insn.addr] = v;
-        Access a;
-        a.proc = p;
-        a.poIndex = poIndex_[p]++;
-        a.kind = insn.accessKind();
-        a.addr = insn.addr;
-        a.valueWritten = v;
-        a.commitTick = steps_;
-        a.gpTick = steps_;
-        trace_.add(a);
+        Word v = insn.src >= 0 ? regs[insn.src] : insn.imm;
+        Word &mem = memory_[static_cast<std::size_t>(op.slot)];
+        u.slot = op.slot;
+        u.oldMem = mem;
+        mem = v;
+        record(p, op, 0, v);
         u.recordedAccess = true;
         break;
       }
       case Opcode::TestAndSet: {
-        Word old = memory_[insn.addr];
+        Word &mem = memory_[static_cast<std::size_t>(op.slot)];
+        Word old = mem;
         u.reg = insn.dst;
-        u.oldReg = regs_[p][insn.dst];
-        u.memChanged = true;
-        u.addr = insn.addr;
+        u.oldReg = regs[insn.dst];
+        u.slot = op.slot;
         u.oldMem = old;
-        regs_[p][insn.dst] = old;
-        memory_[insn.addr] = insn.imm;
-        Access a;
-        a.proc = p;
-        a.poIndex = poIndex_[p]++;
-        a.kind = AccessKind::SyncRmw;
-        a.addr = insn.addr;
-        a.valueRead = old;
-        a.valueWritten = insn.imm;
-        a.commitTick = steps_;
-        a.gpTick = steps_;
-        trace_.add(a);
+        regs[insn.dst] = old;
+        mem = insn.imm;
+        record(p, op, old, insn.imm);
         u.recordedAccess = true;
         break;
       }
       case Opcode::Movi:
         u.reg = insn.dst;
-        u.oldReg = regs_[p][insn.dst];
-        regs_[p][insn.dst] = insn.imm;
+        u.oldReg = regs[insn.dst];
+        regs[insn.dst] = insn.imm;
         break;
       case Opcode::Addi:
         u.reg = insn.dst;
-        u.oldReg = regs_[p][insn.dst];
-        regs_[p][insn.dst] = regs_[p][insn.src] + insn.imm;
+        u.oldReg = regs[insn.dst];
+        regs[insn.dst] = regs[insn.src] + insn.imm;
         break;
       case Opcode::Beq:
-        if (regs_[p][insn.src] == insn.imm)
+        if (regs[insn.src] == insn.imm)
             next_pc = insn.target;
         break;
       case Opcode::Bne:
-        if (regs_[p][insn.src] != insn.imm)
+        if (regs[insn.src] != insn.imm)
             next_pc = insn.target;
         break;
       case Opcode::Fence: // atomic machine: already fully ordered
@@ -148,21 +179,24 @@ IdealizedMachine::step(ProcId p)
         break;
       case Opcode::Halt:
         u.halts = true;
-        halted_[p] = true;
         next_pc = pcs_[p];
         break;
     }
-    if (!u.halts && next_pc >= program_.program(p).size()) {
+    if (!u.halts && next_pc >= static_cast<int>(code.size())) {
         // Fell off the end: implicit halt.
         u.halts = true;
-        halted_[p] = true;
         next_pc = pcs_[p];
     }
+    if (u.halts) {
+        halted_[p] = 1;
+        --running_;
+    }
     pcs_[p] = next_pc;
-    undo_.push_back(u);
+    // Online detection cannot rewind, so unstep() is off while a
+    // detector is attached and nothing needs recording for it.
+    if (!detector_)
+        undo_.push_back(u);
     ++steps_;
-    if (u.recordedAccess && detector_)
-        detector_->onAccess(trace_.accesses().back());
     return true;
 }
 
@@ -178,11 +212,13 @@ IdealizedMachine::unstep()
     pcs_[u.proc] = u.oldPc;
     poIndex_[u.proc] = u.oldPoIndex;
     if (u.reg >= 0)
-        regs_[u.proc][u.reg] = u.oldReg;
-    if (u.memChanged)
-        memory_[u.addr] = u.oldMem;
-    if (u.halts)
-        halted_[u.proc] = false;
+        regs_[regIndex(u.proc, u.reg)] = u.oldReg;
+    if (u.slot >= 0)
+        memory_[static_cast<std::size_t>(u.slot)] = u.oldMem;
+    if (u.halts) {
+        halted_[u.proc] = 0;
+        ++running_;
+    }
     if (u.recordedAccess)
         trace_.popLast();
     --steps_;
@@ -192,8 +228,15 @@ RunResult
 IdealizedMachine::result() const
 {
     RunResult r;
-    r.finalMemory = memory_;
-    r.registers = regs_;
+    for (std::size_t i = 0; i < addrs_.size(); ++i)
+        r.finalMemory.emplace_hint(r.finalMemory.end(), addrs_[i],
+                                   memory_[i]);
+    r.registers.reserve(code_.size());
+    for (std::size_t p = 0; p < code_.size(); ++p) {
+        auto first = regs_.begin() + static_cast<std::ptrdiff_t>(p * nregs_);
+        r.registers.emplace_back(first,
+                                 first + static_cast<std::ptrdiff_t>(nregs_));
+    }
     r.allHalted = allHalted();
     return r;
 }
@@ -202,7 +245,7 @@ std::vector<std::uint64_t>
 IdealizedMachine::stateKey() const
 {
     std::vector<std::uint64_t> key;
-    key.reserve(pcs_.size() * 2 + memory_.size() + 1);
+    key.reserve(1 + pcs_.size() * (1 + nregs_) + memory_.size());
     std::uint64_t halt_bits = 0;
     for (std::size_t p = 0; p < halted_.size(); ++p) {
         if (halted_[p])
@@ -211,10 +254,10 @@ IdealizedMachine::stateKey() const
     key.push_back(halt_bits);
     for (std::size_t p = 0; p < pcs_.size(); ++p) {
         key.push_back(static_cast<std::uint64_t>(pcs_[p]));
-        for (Word w : regs_[p])
-            key.push_back(w);
+        for (std::size_t r = 0; r < nregs_; ++r)
+            key.push_back(regs_[p * nregs_ + r]);
     }
-    for (const auto &[a, v] : memory_)
+    for (Word v : memory_)
         key.push_back(v);
     return key;
 }

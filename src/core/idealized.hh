@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -33,6 +32,13 @@ class RaceDetector;
 /**
  * Interpreter state for one idealized (atomic, in-program-order)
  * execution.
+ *
+ * The program's touched addresses are interned once, at construction,
+ * into dense slots kept in address order, and every memory instruction
+ * has its slot resolved up front: a step indexes a vector instead of
+ * searching a map, and reset() restarts the machine without giving back
+ * any allocation, so sampling many executions of one program costs only
+ * the steps taken.
  */
 class IdealizedMachine
 {
@@ -40,20 +46,25 @@ class IdealizedMachine
     explicit IdealizedMachine(const MultiProgram &program);
 
     /**
-     * Attach an online race detector: every memory access is streamed
-     * into it as it executes (trace order is a linear extension of the
-     * happens-before relation on this machine), so callers can poll
-     * RaceDetector::hasRace() after each step() and abandon the
-     * execution at its first race. Only accesses recorded after
-     * attachment are observed; incompatible with unstep().
+     * Attach an online race detector (nullptr detaches): every memory
+     * access is streamed into it as it executes (trace order is a linear
+     * extension of the happens-before relation on this machine), so
+     * callers can poll RaceDetector::hasRace() after each step() and
+     * abandon the execution at its first race. Only accesses recorded
+     * after attachment are observed; incompatible with unstep(), so no
+     * undo record is kept while a detector is attached.
      */
-    void attachRaceDetector(RaceDetector *det) { detector_ = det; }
+    void attachRaceDetector(RaceDetector *det);
+
+    /** Return to the initial state (no steps taken, empty trace),
+     * keeping every allocation and the attached detector. */
+    void reset();
 
     /** True when processor @p p reached Halt. */
-    bool halted(ProcId p) const { return halted_[p]; }
+    bool halted(ProcId p) const { return halted_[p] != 0; }
 
     /** True when every processor halted. */
-    bool allHalted() const;
+    bool allHalted() const { return running_ == 0; }
 
     /** Number of instructions executed so far. */
     std::uint64_t steps() const { return steps_; }
@@ -70,11 +81,12 @@ class IdealizedMachine
     /** Undo the most recent step (for backtracking enumeration). */
     void unstep();
 
-    /** Current value of a memory location. */
+    /** Current value of a memory location (0 if the program never
+     * touches it). */
     Word memory(Addr a) const;
 
     /** Current register value. */
-    Word reg(ProcId p, int r) const { return regs_[p][r]; }
+    Word reg(ProcId p, int r) const { return regs_[regIndex(p, r)]; }
 
     /** Program counter of processor @p p. */
     int pc(ProcId p) const { return pcs_[p]; }
@@ -89,28 +101,50 @@ class IdealizedMachine
     std::vector<std::uint64_t> stateKey() const;
 
   private:
+    /** One instruction with its memory slot resolved. */
+    struct Op
+    {
+        Instruction insn;
+        AccessKind kind = AccessKind::DataRead; ///< memory ops only
+        int slot = -1;                          ///< memory ops only
+    };
+
     struct UndoRecord
     {
         ProcId proc;
         int oldPc;
         int reg = -1;
         Word oldReg = 0;
-        bool memChanged = false;
-        Addr addr = 0;
+        int slot = -1; ///< memory slot written, or -1
         Word oldMem = 0;
         bool halts = false;
         bool recordedAccess = false;
         int oldPoIndex = 0;
     };
 
-    const MultiProgram &program_;
+    std::size_t
+    regIndex(ProcId p, int r) const
+    {
+        return static_cast<std::size_t>(p) * nregs_ +
+               static_cast<std::size_t>(r);
+    }
+
+    /** Append processor @p p's access by @p op to the trace and stream
+     * it to the attached detector. */
+    void record(ProcId p, const Op &op, Word read, Word written);
+
     RaceDetector *detector_ = nullptr;
+    std::size_t nregs_ = 0;
+    std::vector<Addr> addrs_;   ///< slot -> address, ascending
+    std::vector<Word> initial_; ///< slot -> initial value
+    std::vector<int> detSlot_;  ///< slot -> the detector's slot
+    std::vector<std::vector<Op>> code_;
     std::vector<int> pcs_;
-    std::vector<std::vector<Word>> regs_;
-    std::vector<bool> halted_;
+    std::vector<Word> regs_; ///< [proc * nregs_ + reg]
+    std::vector<char> halted_;
+    int running_ = 0; ///< processors not yet halted
     std::vector<int> poIndex_;
-    std::map<Addr, Word> memory_;
-    std::vector<Addr> touched_;
+    std::vector<Word> memory_; ///< slot -> current value
     ExecutionTrace trace_;
     std::vector<UndoRecord> undo_;
     std::uint64_t steps_ = 0;

@@ -17,10 +17,29 @@ RaceDetector::reset(int numProcs)
     clocks_.resize(static_cast<std::size_t>(numProcs));
     for (VectorClock &c : clocks_)
         c.clear();
-    release_.clear();
-    vars_.clear();
+    for (int slot : touched_) {
+        Location &l = locs_[static_cast<std::size_t>(slot)];
+        l.write = {};
+        l.writeId = -1;
+        l.read = {};
+        l.readId = -1;
+        l.readsByProc.clear();
+        l.hist.clear();
+        l.release.clear();
+        l.touched = false;
+    }
+    touched_.clear();
     races_.clear();
     seen_ = 0;
+}
+
+int
+RaceDetector::slotOf(Addr a)
+{
+    auto [it, fresh] = slots_.try_emplace(a, static_cast<int>(locs_.size()));
+    if (fresh)
+        locs_.emplace_back();
+    return it->second;
 }
 
 void
@@ -32,7 +51,7 @@ RaceDetector::record(int a, int b)
 }
 
 void
-RaceDetector::onAccess(const Access &a)
+RaceDetector::onAccess(const Access &a, int slot)
 {
     if (a.proc < 0)
         return; // hypothetical initializing writes are hb-first
@@ -45,17 +64,19 @@ RaceDetector::onAccess(const Access &a)
     ++seen_;
 
     VectorClock &cp = clocks_[static_cast<std::size_t>(a.proc)];
+    Location &v = locs_[static_cast<std::size_t>(slot)];
+    if (!v.touched) {
+        v.touched = true;
+        touched_.push_back(slot);
+    }
     if (a.sync()) {
         // Acquire: the previous sync at this location (and everything
         // happening-before it) happens-before this access.
-        auto it = release_.find(a.addr);
-        if (it != release_.end())
-            cp.join(it->second);
+        cp.join(v.release);
     }
     const std::uint32_t c = cp.tick(a.proc);
     const bool rd = a.reads();
     const bool wr = a.writes();
-    VarState &v = vars_[a.addr];
 
     if (mode_ == RaceDetectMode::AllRaces) {
         // Check against every prior conflicting access here. Each test
@@ -137,8 +158,9 @@ RaceDetector::onAccess(const Access &a)
 
     if (a.sync()) {
         // Release: this access's full clock (own tick included) becomes
-        // the so-edge source for the next sync at this location.
-        release_[a.addr] = cp;
+        // the so-edge source for the next sync at this location, copied
+        // into the slot's existing storage.
+        v.release = cp;
     }
 }
 

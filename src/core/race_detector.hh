@@ -70,6 +70,12 @@ enum class RaceDetectMode {
  * every recorded access in a linear extension of (po U so) — trace order
  * for idealized executions. hasRace() may be polled after every step for
  * early exit.
+ *
+ * Per-location state lives in dense slots: each address is interned once
+ * (slotOf) and keeps its slot for the detector's lifetime, so reset()
+ * only clears the slots touched since the previous reset and a caller
+ * that resolved slots up front (IdealizedMachine) feeds accesses without
+ * any address lookup.
  */
 class RaceDetector
 {
@@ -77,12 +83,20 @@ class RaceDetector
     explicit RaceDetector(int numProcs,
                           RaceDetectMode mode = RaceDetectMode::FirstRace);
 
-    /** Forget all state (keeping allocations) for a fresh execution. */
+    /** Forget all state (keeping allocations and interned slots) for a
+     * fresh execution. */
     void reset(int numProcs);
+
+    /** The dense slot of address @p a, interned on first use. Stable
+     * across reset(). */
+    int slotOf(Addr a);
 
     /** Observe the next access. No-op once a race was found in
      * FirstRace mode. */
-    void onAccess(const Access &a);
+    void onAccess(const Access &a) { onAccess(a, slotOf(a.addr)); }
+
+    /** onAccess() for a caller that already holds slotOf(a.addr). */
+    void onAccess(const Access &a, int slot);
 
     /** True once at least one race has been found. */
     bool hasRace() const { return !races_.empty(); }
@@ -111,7 +125,8 @@ class RaceDetector
         int id = -1;
     };
 
-    struct VarState
+    /** Everything known about one location since the last reset(). */
+    struct Location
     {
         Epoch write;      ///< epoch of the last write component
         int writeId = -1;
@@ -119,6 +134,10 @@ class RaceDetector
         int readId = -1;
         std::vector<ReadSlot> readsByProc; ///< non-empty once widened
         std::vector<HistEntry> hist;       ///< AllRaces mode only
+        /** Clock of the last sync here (the so-edge source); all zero
+         * until one executes. */
+        VectorClock release;
+        bool touched = false; ///< listed in touched_
     };
 
     void record(int a, int b);
@@ -126,8 +145,9 @@ class RaceDetector
     RaceDetectMode mode_;
     int nprocs_ = 0;
     std::vector<VectorClock> clocks_;
-    std::unordered_map<Addr, VectorClock> release_;
-    std::unordered_map<Addr, VarState> vars_;
+    std::unordered_map<Addr, int> slots_;
+    std::vector<Location> locs_;
+    std::vector<int> touched_; ///< slots touched since reset()
     std::vector<Race> races_;
     std::uint64_t seen_ = 0;
 };

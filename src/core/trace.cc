@@ -23,23 +23,6 @@ prunePrefix(std::vector<int> &ids, int firstLive)
 }
 } // namespace
 
-int
-ExecutionTrace::add(Access a)
-{
-    a.id = base_ + static_cast<int>(accesses_.size());
-    if (a.proc >= 0) {
-        if (static_cast<std::size_t>(a.proc) >= byProc_.size())
-            byProc_.resize(static_cast<std::size_t>(a.proc) + 1);
-        IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
-        pi.ids.push_back(a.id);
-        pi.dirty = true;
-    }
-    accesses_.push_back(a);
-    if (static_cast<int>(accesses_.size()) > high_water_)
-        high_water_ = static_cast<int>(accesses_.size());
-    return a.id;
-}
-
 void
 ExecutionTrace::reserve(int n)
 {
@@ -58,8 +41,9 @@ ExecutionTrace::popLast()
     }
     accesses_.pop_back();
     // Keep numProcs() == highest present processor + 1.
-    while (!byProc_.empty() && byProc_.back().ids.empty())
-        byProc_.pop_back();
+    while (nprocs_ > 0 &&
+           byProc_[static_cast<std::size_t>(nprocs_ - 1)].ids.empty())
+        --nprocs_;
 }
 
 void
@@ -81,9 +65,19 @@ ExecutionTrace::popFront(int n)
 void
 ExecutionTrace::clear()
 {
-    accesses_.clear();
+    clearAccesses();
     initials_.clear();
-    byProc_.clear();
+}
+
+void
+ExecutionTrace::clearAccesses()
+{
+    accesses_.clear();
+    for (IndexList &pi : byProc_) {
+        pi.ids.clear();
+        pi.dirty = true;
+    }
+    nprocs_ = 0;
     base_ = 0;
     high_water_ = 0;
 }
@@ -91,7 +85,7 @@ ExecutionTrace::clear()
 const std::vector<int> &
 ExecutionTrace::accessesOf(ProcId proc) const
 {
-    if (proc < 0 || static_cast<std::size_t>(proc) >= byProc_.size())
+    if (proc < 0 || proc >= nprocs_)
         return kNoIds;
     const IndexList &pi = byProc_[static_cast<std::size_t>(proc)];
     if (pi.dirty) {

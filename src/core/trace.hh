@@ -43,8 +43,20 @@ class ExecutionTrace
   public:
     ExecutionTrace() = default;
 
-    /** Append an access; assigns and returns its trace id. */
-    int add(Access a);
+    /** Append an access; assigns and returns its trace id. Inline: it
+     * is the recording hot path of every machine. */
+    int
+    add(const Access &a)
+    {
+        const int id = base_ + static_cast<int>(accesses_.size());
+        if (a.proc >= 0)
+            indexAccess(a.proc, id);
+        accesses_.push_back(a);
+        accesses_.back().id = id;
+        if (static_cast<int>(accesses_.size()) > high_water_)
+            high_water_ = static_cast<int>(accesses_.size());
+        return id;
+    }
 
     /** Pre-size storage for @p n accesses (hot recording loops). */
     void reserve(int n);
@@ -96,8 +108,12 @@ class ExecutionTrace
      * reuse). */
     void clear();
 
+    /** clear(), but keep the initial values: restart recording the same
+     * program's next execution (idealized-machine reset). */
+    void clearAccesses();
+
     /** Number of processors appearing in the trace. */
-    int numProcs() const { return static_cast<int>(byProc_.size()); }
+    int numProcs() const { return nprocs_; }
 
     /** Trace ids of @p proc's resident accesses, sorted by program order.
      * The reference is valid until the next add()/popLast()/popFront(). */
@@ -119,6 +135,20 @@ class ExecutionTrace
     std::string toString() const;
 
   private:
+    /** Append @p id to processor @p p's id list. */
+    void
+    indexAccess(ProcId p, int id)
+    {
+        if (p >= nprocs_) {
+            nprocs_ = p + 1;
+            if (byProc_.size() < static_cast<std::size_t>(nprocs_))
+                byProc_.resize(static_cast<std::size_t>(nprocs_));
+        }
+        IndexList &pi = byProc_[static_cast<std::size_t>(p)];
+        pi.ids.push_back(id);
+        pi.dirty = true;
+    }
+
     /** Incrementally maintained id list plus its lazily sorted view. */
     struct IndexList
     {
@@ -129,7 +159,8 @@ class ExecutionTrace
 
     std::vector<Access> accesses_;
     std::map<Addr, Word> initials_;
-    std::vector<IndexList> byProc_;
+    std::vector<IndexList> byProc_; ///< may hold empty lists past nprocs_
+    int nprocs_ = 0;                ///< highest recorded proc + 1
     int base_ = 0;       ///< first resident id == number retired
     int high_water_ = 0; ///< max resident() ever reached
 };

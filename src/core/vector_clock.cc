@@ -4,17 +4,6 @@
 
 namespace wo {
 
-void
-VectorClock::join(const VectorClock &o)
-{
-    if (o.c_.size() > c_.size())
-        c_.resize(o.c_.size(), 0);
-    for (std::size_t i = 0; i < o.c_.size(); ++i) {
-        if (o.c_[i] > c_[i])
-            c_[i] = o.c_[i];
-    }
-}
-
 std::string
 VectorClock::toString() const
 {

@@ -15,6 +15,7 @@
 #ifndef WO_CORE_VECTOR_CLOCK_HH
 #define WO_CORE_VECTOR_CLOCK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -73,7 +74,14 @@ class VectorClock
     }
 
     /** Pointwise maximum with @p o (the join of the two clocks). */
-    void join(const VectorClock &o);
+    void
+    join(const VectorClock &o)
+    {
+        if (o.c_.size() > c_.size())
+            c_.resize(o.c_.size(), 0);
+        for (std::size_t i = 0; i < o.c_.size(); ++i)
+            c_[i] = std::max(c_[i], o.c_[i]);
+    }
 
     /** True iff epoch @p e's access happens-before this clock's owner. */
     bool

@@ -1,9 +1,15 @@
 #include "workload/campaign.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+
+#include "sim/decimal.hh"
 
 namespace wo {
 
@@ -23,40 +29,69 @@ campaignJobSeed(std::uint64_t baseSeed, int jobIndex)
     return z;
 }
 
+namespace {
+
+/** A thread count from @p text, which @p what names in the error. */
 int
-campaignThreads(int requested)
+parseThreads(std::string_view text, const char *what)
 {
-    if (requested > 0)
-        return requested;
-    if (const char *env = std::getenv("WO_THREADS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return n;
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? static_cast<int>(hw) : 1;
+    int n = 0;
+    if (!parseDecimal(text, n, 1, kMaxCampaignThreads))
+        throw std::invalid_argument(
+            std::string("bad ") + what + " '" + std::string(text) +
+            "': want an integer in [1, " +
+            std::to_string(kMaxCampaignThreads) + "]");
+    return n;
 }
 
-int
-consumeThreadsFlag(int &argc, char **argv)
+/**
+ * Strip `--NAME=V` / `--NAME V` from argv (see consumeThreadsFlag) and
+ * return the last V given, or nullptr if the flag was absent.
+ */
+const char *
+consumeValueFlag(int &argc, char **argv, const char *flag)
 {
-    int threads = 0;
+    const std::size_t len = std::strlen(flag);
+    const char *value = nullptr;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--threads=", 10) == 0) {
-            threads = std::atoi(arg + 10);
+        if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=') {
+            value = arg + len + 1;
             continue;
         }
-        if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-            threads = std::atoi(argv[i + 1]);
-            ++i;
+        if (std::strcmp(arg, flag) == 0 && i + 1 < argc) {
+            value = argv[++i];
             continue;
         }
         argv[out++] = argv[i];
     }
     argc = out;
-    return threads > 0 ? threads : 0;
+    return value;
+}
+
+} // namespace
+
+int
+campaignThreads(int requested)
+{
+    if (requested > kMaxCampaignThreads)
+        throw std::invalid_argument(
+            "campaign of " + std::to_string(requested) +
+            " threads: at most " + std::to_string(kMaxCampaignThreads));
+    if (requested > 0)
+        return requested;
+    if (const char *env = std::getenv("WO_THREADS"))
+        return parseThreads(env, "WO_THREADS");
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? std::min(static_cast<int>(hw), kMaxCampaignThreads) : 1;
+}
+
+int
+consumeThreadsFlag(int &argc, char **argv)
+{
+    const char *value = consumeValueFlag(argc, argv, "--threads");
+    return value ? parseThreads(value, "--threads") : 0;
 }
 
 System &
@@ -126,22 +161,14 @@ Drf0Memo::misses() const
 std::uint64_t
 consumeSeedFlag(int &argc, char **argv, std::uint64_t fallback)
 {
+    const char *value = consumeValueFlag(argc, argv, "--seed");
     std::uint64_t seed = fallback;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--seed=", 7) == 0) {
-            seed = std::strtoull(arg + 7, nullptr, 10);
-            continue;
-        }
-        if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
-            ++i;
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
+    if (value && !parseDecimal(std::string_view(value), seed))
+        throw std::invalid_argument(
+            std::string("bad --seed '") + value +
+            "': want an integer in [0, " +
+            std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+            "]");
     return seed;
 }
 

@@ -45,10 +45,18 @@ struct CampaignJob
 /** Deterministic per-job seed stream: seed = f(baseSeed, jobIndex). */
 std::uint64_t campaignJobSeed(std::uint64_t baseSeed, int jobIndex);
 
+/** The most worker threads a campaign may ask for. A larger count is
+ * rejected before any thread starts. */
+constexpr int kMaxCampaignThreads = 256;
+
 /**
  * Resolve a thread count: @p requested if positive, else the WO_THREADS
- * environment variable if set to a positive integer, else one thread per
- * hardware thread. Always at least 1.
+ * environment variable if set, else one thread per hardware thread
+ * (capped at kMaxCampaignThreads). Always at least 1.
+ *
+ * @throws std::invalid_argument if @p requested exceeds
+ *         kMaxCampaignThreads, or WO_THREADS is set but is not a plain
+ *         decimal in [1, kMaxCampaignThreads].
  */
 int campaignThreads(int requested = 0);
 
@@ -58,6 +66,8 @@ int campaignThreads(int requested = 0);
  *
  * @return N, or 0 if the flag was absent (callers then fall back to
  *         campaignThreads(0)'s env/hardware resolution).
+ * @throws std::invalid_argument if N is not a plain decimal in
+ *         [1, kMaxCampaignThreads].
  */
 int consumeThreadsFlag(int &argc, char **argv);
 
@@ -66,6 +76,8 @@ int consumeThreadsFlag(int &argc, char **argv);
  * remaining arguments down and updating argc.
  *
  * @return S, or @p fallback if the flag was absent.
+ * @throws std::invalid_argument if S is not a plain decimal that fits
+ *         in 64 bits.
  */
 std::uint64_t consumeSeedFlag(int &argc, char **argv,
                               std::uint64_t fallback = 1);

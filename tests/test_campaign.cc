@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,62 @@ TEST(CampaignFlags, ThreadsResolutionPrefersRequest)
 {
     EXPECT_EQ(campaignThreads(3), 3);
     EXPECT_GE(campaignThreads(0), 1);
+}
+
+/** consumeThreadsFlag / consumeSeedFlag on one "prog FLAG" argv. */
+template <typename F>
+void
+consumeOne(const char *flag, F &&consume)
+{
+    const char *raw[] = {"prog", flag};
+    char *argv[] = {const_cast<char *>(raw[0]), const_cast<char *>(raw[1])};
+    int argc = 2;
+    consume(argc, argv);
+}
+
+TEST(CampaignFlags, MalformedThreadCountsAreRejected)
+{
+    // Every value here is refused while parsing: no worker starts.
+    for (const char *bad :
+         {"--threads=zz", "--threads=", "--threads=0", "--threads=-2",
+          "--threads=+2", "--threads=2x", "--threads= 2",
+          "--threads=257", "--threads=99999999999999999999"}) {
+        EXPECT_THROW(consumeOne(bad,
+                                [](int &argc, char **argv) {
+                                    consumeThreadsFlag(argc, argv);
+                                }),
+                     std::invalid_argument)
+            << bad;
+    }
+    EXPECT_THROW(campaignThreads(kMaxCampaignThreads + 1),
+                 std::invalid_argument);
+    ASSERT_EQ(setenv("WO_THREADS", "zz", 1), 0);
+    EXPECT_THROW(campaignThreads(0), std::invalid_argument);
+    ASSERT_EQ(setenv("WO_THREADS", "100000", 1), 0);
+    EXPECT_THROW(campaignThreads(0), std::invalid_argument);
+    ASSERT_EQ(setenv("WO_THREADS", "3", 1), 0);
+    EXPECT_EQ(campaignThreads(0), 3);
+    unsetenv("WO_THREADS");
+}
+
+TEST(CampaignFlags, MalformedSeedsAreRejected)
+{
+    for (const char *bad : {"--seed=abc", "--seed=", "--seed=-1",
+                            "--seed=+1", "--seed=12abc",
+                            "--seed=18446744073709551616"}) {
+        EXPECT_THROW(consumeOne(bad,
+                                [](int &argc, char **argv) {
+                                    consumeSeedFlag(argc, argv);
+                                }),
+                     std::invalid_argument)
+            << bad;
+    }
+    std::uint64_t seed = 0;
+    consumeOne("--seed=18446744073709551615",
+               [&](int &argc, char **argv) {
+                   seed = consumeSeedFlag(argc, argv);
+               });
+    EXPECT_EQ(seed, 18446744073709551615ull);
 }
 
 /**

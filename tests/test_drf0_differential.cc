@@ -148,25 +148,69 @@ TEST(Drf0Differential, RandomRacyProgramsAgree)
     }
 }
 
+/** The witnesses of two sampled reports agree access by access. */
+void
+expectSameWitness(const Drf0ProgramReport &a, const Drf0ProgramReport &b,
+                  const std::string &what)
+{
+    ASSERT_EQ(a.witness.size(), b.witness.size()) << what;
+    for (int id = 0; id < a.witness.size(); ++id) {
+        const Access &x = a.witness.at(id);
+        const Access &y = b.witness.at(id);
+        EXPECT_EQ(x.toString(), y.toString()) << what << " #" << id;
+        EXPECT_EQ(x.poIndex, y.poIndex) << what << " #" << id;
+        EXPECT_EQ(x.commitTick, y.commitTick) << what << " #" << id;
+    }
+    EXPECT_EQ(a.witnessReport.races, b.witnessReport.races) << what;
+}
+
+/** checkProgramSampled() against offlineSampled() on one program. */
+void
+expectOnlineMatchesOffline(const MultiProgram &mp, int schedules,
+                           std::uint64_t seed, const std::string &what)
+{
+    Drf0ProgramReport online = checkProgramSampled(mp, schedules, seed);
+    Drf0ProgramReport offline = offlineSampled(mp, schedules, seed);
+    EXPECT_EQ(online.obeysDrf0, offline.obeysDrf0) << what;
+    EXPECT_EQ(online.bounded, offline.bounded) << what;
+    EXPECT_EQ(online.executions, offline.executions) << what;
+    expectSameWitness(online, offline, what);
+}
+
 TEST(Drf0Differential, OnlineEarlyExitNeverChangesSampledVerdict)
 {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         MultiProgram racy = randomRacyProgram(smallCfg(seed, 2), 2);
         MultiProgram clean = randomDrf0Program(smallCfg(seed, 2));
-        for (const MultiProgram *mp : {&racy, &clean}) {
-            Drf0ProgramReport online =
-                checkProgramSampled(*mp, 30, seed);
-            Drf0ProgramReport offline = offlineSampled(*mp, 30, seed);
-            EXPECT_EQ(online.obeysDrf0, offline.obeysDrf0)
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.executions, offline.executions)
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.witness.size(), offline.witness.size())
-                << mp->name() << " seed " << seed;
-            EXPECT_EQ(online.witnessReport.races,
-                      offline.witnessReport.races)
-                << mp->name() << " seed " << seed;
-        }
+        for (const MultiProgram *mp : {&racy, &clean})
+            expectOnlineMatchesOffline(*mp, 30, seed,
+                                       mp->name() + " seed " +
+                                           std::to_string(seed));
+    }
+    // The perfbench contract_random shape: 4 processors, spin-lock
+    // acquires, 6 sections each (~330 accesses per execution).
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RandomWorkloadConfig cfg = smallCfg(seed, 4);
+        cfg.locsPerLock = 3;
+        cfg.sectionsPerProc = 6;
+        cfg.privateOpsBetween = 2;
+        cfg.spinAcquire = true;
+        for (const MultiProgram &mp :
+             {randomDrf0Program(cfg), randomRacyProgram(cfg, 2)})
+            expectOnlineMatchesOffline(mp, 30, seed,
+                                       "contract-shape " + mp.name() +
+                                           " seed " +
+                                           std::to_string(seed));
+    }
+    // The shipped litmus corpus: racy and DRF0 tests, spin loops.
+    std::vector<std::string> files =
+        litmus_dsl::findLitmusFiles({WO_LITMUS_DIR});
+    ASSERT_EQ(files.size(), 19u);
+    for (const std::string &f : files) {
+        litmus_dsl::CompiledLitmus test = litmus_dsl::compileLitmusFile(f);
+        for (std::uint64_t seed : {1, 2})
+            expectOnlineMatchesOffline(test.program, 30, seed,
+                                       f + " seed " + std::to_string(seed));
     }
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/idealized.hh"
 #include "cpu/program_builder.hh"
+#include "sim/rng.hh"
+#include "workload/random_gen.hh"
 
 namespace wo {
 namespace {
@@ -206,6 +210,81 @@ TEST(RunWithSchedule, FinishesRoundRobinAfterSchedule)
     MultiProgram mp = dekker();
     RunResult r = runWithSchedule(mp, {0});
     EXPECT_TRUE(r.allHalted);
+}
+
+/** Field-by-field equality of two traces, with initial values. */
+void
+expectSameTrace(const ExecutionTrace &a, const ExecutionTrace &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    EXPECT_EQ(a.numProcs(), b.numProcs()) << what;
+    EXPECT_EQ(a.initials(), b.initials()) << what;
+    for (int id = 0; id < a.size(); ++id) {
+        const Access &x = a.at(id);
+        const Access &y = b.at(id);
+        EXPECT_EQ(x.id, y.id) << what;
+        EXPECT_EQ(x.toString(), y.toString()) << what << " #" << id;
+        EXPECT_EQ(x.poIndex, y.poIndex) << what << " #" << id;
+        EXPECT_EQ(x.commitTick, y.commitTick) << what << " #" << id;
+        EXPECT_EQ(x.gpTick, y.gpTick) << what << " #" << id;
+    }
+    for (ProcId p = 0; p < a.numProcs(); ++p)
+        EXPECT_EQ(a.accessesOf(p), b.accessesOf(p)) << what;
+}
+
+TEST(Idealized, ResetEqualsFreshMachine)
+{
+    // One machine reused across random schedules (reset between them,
+    // sometimes mid-execution, sometimes after backtracking) must behave
+    // exactly like a machine built for each schedule.
+    RandomWorkloadConfig cfg;
+    cfg.numProcs = 3;
+    cfg.numLocks = 2;
+    cfg.locsPerLock = 2;
+    cfg.privateLocs = 2;
+    cfg.sectionsPerProc = 3;
+    cfg.opsPerSection = 3;
+    cfg.privateOpsBetween = 1;
+    cfg.spinAcquire = true;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        cfg.seed = seed;
+        for (const MultiProgram &mp :
+             {randomDrf0Program(cfg), randomRacyProgram(cfg, 2)}) {
+            IdealizedMachine reused(mp);
+            Rng rng(seed);
+            for (int s = 0; s < 20; ++s) {
+                const std::string what = mp.name() + " seed " +
+                                         std::to_string(seed) +
+                                         " schedule " + std::to_string(s);
+                reused.reset();
+                IdealizedMachine fresh(mp);
+                EXPECT_EQ(reused.stateKey(), fresh.stateKey()) << what;
+                // Cut some executions short so the next reset() starts
+                // from a machine that never halted.
+                const int cap = s % 3 == 0 ? 40 : 10000;
+                for (int k = 0; k < cap && !fresh.allHalted(); ++k) {
+                    ProcId p =
+                        static_cast<ProcId>(rng.below(mp.numProcs()));
+                    while (fresh.halted(p))
+                        p = (p + 1) % mp.numProcs();
+                    ASSERT_TRUE(reused.step(p)) << what;
+                    fresh.step(p);
+                }
+                if (s % 4 == 1 && reused.steps() > 0) {
+                    reused.unstep();
+                    fresh.unstep();
+                }
+                EXPECT_EQ(reused.steps(), fresh.steps()) << what;
+                EXPECT_EQ(reused.allHalted(), fresh.allHalted()) << what;
+                EXPECT_EQ(reused.result(), fresh.result()) << what;
+                EXPECT_EQ(reused.stateKey(), fresh.stateKey()) << what;
+                for (Addr a : mp.touchedAddrs())
+                    EXPECT_EQ(reused.memory(a), fresh.memory(a)) << what;
+                expectSameTrace(reused.trace(), fresh.trace(), what);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -649,6 +649,44 @@ TEST(WoLitmusTool, OutOfRangeNumbersExitTwo)
     }
 }
 
+TEST(WoLitmusTool, MalformedNumericFlagsExitTwo)
+{
+    const std::string corpus = ::testing::TempDir() + "/wo_flags_mp.litmus";
+    {
+        std::ofstream out(corpus);
+        ASSERT_TRUE(out);
+        out << kMp;
+    }
+    // Each value is rejected while parsing, before any worker starts.
+    for (const char *bad :
+         {"--seeds=2x", "--seeds=0", "--seeds=", "--seed=abc", "--seed=-1",
+          "--seed=18446744073709551616", "--threads=zz", "--threads=0",
+          "--threads=100000"}) {
+        EXPECT_EQ(woLitmusExit(std::string(bad) + " --seeds=1 " + corpus),
+                  2)
+            << bad;
+    }
+    EXPECT_EQ(woLitmusExit("--seeds=1 " + corpus), 0);
+}
+
+TEST(WoLitmusTool, MalformedWoThreadsExitsTwo)
+{
+    const std::string corpus = ::testing::TempDir() + "/wo_env_mp.litmus";
+    {
+        std::ofstream out(corpus);
+        ASSERT_TRUE(out);
+        out << kMp;
+    }
+    for (const char *bad : {"zz", "0", "100000"}) {
+        std::string cmd = std::string("WO_THREADS=") + bad + " " +
+                          WO_LITMUS_BIN + " --seeds=1 " + corpus +
+                          " > /dev/null 2> /dev/null";
+        int rc = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << bad;
+    }
+}
+
 TEST(WoLitmusTool, CoverageReportFileIsWritten)
 {
     const std::string dir = ::testing::TempDir();

@@ -214,6 +214,60 @@ TEST(RaceDetector, ResetReusesCleanly)
     EXPECT_FALSE(det.hasRace());
 }
 
+TEST(RaceDetector, ResetForgetsEveryLocation)
+{
+    // The racy trace leaves state behind on every kind of per-location
+    // field: write epochs (0, 1), a widened concurrent-read vector (2)
+    // and a release clock (9), with P0's clock far ahead.
+    ExecutionTrace racy;
+    int po0 = 0, po1 = 0;
+    Tick t = 0;
+    for (Addr x : {0u, 1u, 3u})
+        racy.add(mk(0, po0++, AccessKind::DataWrite, x, t++));
+    racy.add(mk(0, po0++, AccessKind::DataRead, 2, t++));
+    racy.add(mk(0, po0++, AccessKind::SyncRmw, 9, t++));
+    racy.add(mk(1, po1++, AccessKind::DataRead, 2, t++));
+    racy.add(mk(1, po1++, AccessKind::DataWrite, 0, t++));
+    racy.add(mk(1, po1++, AccessKind::DataWrite, 1, t++));
+
+    // Race-free on the same addresses once reset: P1 touches each one
+    // before P0 does anything, so any stale epoch of P0's would race.
+    ExecutionTrace clean;
+    t = 0;
+    for (Addr x : {0u, 1u, 2u, 3u})
+        clean.add(mk(1, static_cast<int>(x), AccessKind::DataWrite, x, t++));
+    clean.add(mk(1, 4, AccessKind::DataRead, 2, t++));
+
+    // Racy again, but only if the release clock at 9 was forgotten: a
+    // stale clock would order P0's write before P1's.
+    ExecutionTrace masked;
+    t = 0;
+    masked.add(mk(0, 0, AccessKind::DataWrite, 3, t++));
+    masked.add(mk(1, 0, AccessKind::SyncRead, 9, t++));
+    masked.add(mk(1, 1, AccessKind::DataWrite, 3, t++));
+
+    for (RaceDetectMode mode :
+         {RaceDetectMode::FirstRace, RaceDetectMode::AllRaces}) {
+        RaceDetector det(2, mode);
+        for (const Access &a : racy.accesses())
+            det.onAccess(a);
+        ASSERT_TRUE(det.hasRace());
+        det.reset(2);
+        EXPECT_FALSE(det.hasRace());
+        EXPECT_EQ(det.accessesSeen(), 0u);
+        for (const Access &a : clean.accesses())
+            det.onAccess(a);
+        EXPECT_FALSE(det.hasRace()) << "stale state survived reset()";
+
+        for (const Access &a : racy.accesses())
+            det.onAccess(a);
+        det.reset(2);
+        for (const Access &a : masked.accesses())
+            det.onAccess(a);
+        EXPECT_TRUE(det.hasRace()) << "stale release clock survived reset()";
+    }
+}
+
 TEST(RaceDetector, GrowsWithUnseenProcessors)
 {
     // Constructed for 1 processor but fed accesses from processor 3.

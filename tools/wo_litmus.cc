@@ -53,10 +53,13 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "litmus/runner.hh"
+#include "sim/decimal.hh"
 #include "workload/campaign.hh"
 
 namespace {
@@ -109,8 +112,15 @@ int
 main(int argc, char **argv)
 {
     RunnerOptions options;
-    options.threads = consumeThreadsFlag(argc, argv);
-    options.baseSeed = consumeSeedFlag(argc, argv, 1);
+    try {
+        // Resolved here so a malformed WO_THREADS is a usage error too,
+        // reported before any worker starts.
+        options.threads = campaignThreads(consumeThreadsFlag(argc, argv));
+        options.baseSeed = consumeSeedFlag(argc, argv, 1);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "wo-litmus: " << e.what() << "\n";
+        return 2;
+    }
 
     bool json = false;
     bool list_only = false;
@@ -138,9 +148,10 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--seeds=", 0) == 0) {
-            options.seeds = std::atoi(arg.c_str() + 8);
-            if (options.seeds <= 0) {
-                std::cerr << "wo-litmus: bad --seeds value\n";
+            if (!parseDecimal(std::string_view(arg).substr(8),
+                              options.seeds, 1)) {
+                std::cerr << "wo-litmus: bad --seeds '" << arg.substr(8)
+                          << "': want a positive integer\n";
                 return 2;
             }
         } else if (arg.rfind("--policies=", 0) == 0) {

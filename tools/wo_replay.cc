@@ -41,17 +41,18 @@
  * table out of range, unknown op byte).
  */
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "replay/replay_engine.hh"
 #include "replay/system_replay.hh"
 #include "replay/trace_format.hh"
 #include "replay/trace_gen.hh"
+#include "sim/decimal.hh"
 #include "system/machine_spec.hh"
 
 namespace {
@@ -85,18 +86,12 @@ bool
 numericFlag(const std::string &arg, T &out, T lo = 0)
 {
     const std::size_t eq = arg.find('=');
-    const char *first = arg.data() + eq + 1;
-    const char *last = arg.data() + arg.size();
-    T v{};
-    auto [end, ec] = std::from_chars(first, last, v);
-    if (first == last || *first == '-' || ec != std::errc() ||
-        end != last || v < lo) {
+    if (!parseDecimal(std::string_view(arg).substr(eq + 1), out, lo)) {
         std::cerr << "wo-replay: bad " << arg.substr(0, eq) << " '"
                   << arg.substr(eq + 1) << "': want an integer in [" << lo
                   << ", " << std::numeric_limits<T>::max() << "]\n";
         return false;
     }
-    out = v;
     return true;
 }
 

@@ -24,17 +24,18 @@
  * protocol stall — the trace is still written), 2 usage/parse errors.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
+#include "sim/decimal.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 
@@ -105,7 +106,11 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg.rfind("--seed=", 0) == 0) {
-            seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            if (!parseDecimal(std::string_view(arg).substr(7), seed)) {
+                std::cerr << "wo-trace: bad --seed '" << arg.substr(7)
+                          << "': want a non-negative integer\n";
+                return 2;
+            }
         } else if (arg.rfind("--out=", 0) == 0) {
             out_file = arg.substr(6);
         } else if (arg.rfind("--trace-filter=", 0) == 0) {

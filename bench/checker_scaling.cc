@@ -1,9 +1,10 @@
 /**
  * @file
  * Infrastructure ablation: cost of the formal machinery — the SC
- * verifier's backtracking search and the idealized architecture's
- * outcome enumeration — as workloads grow, plus the parallel campaign
- * engine fanning whole verifications across hardware threads.
+ * verifier's backtracking search and brute-force enumeration of the
+ * idealized architecture's interleavings (the tests/oracle/ oracle) —
+ * as workloads grow, plus the parallel campaign engine fanning whole
+ * verifications across hardware threads.
  *
  *   $ ./checker_scaling [--threads=N] [--machines=LIST] [--quick]
  *                       [--json=FILE]
@@ -24,9 +25,9 @@
 #include <string>
 
 #include "bench_util.hh"
-#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
+#include "oracle/interleavings.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
 #include "workload/random_gen.hh"

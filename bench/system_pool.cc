@@ -7,7 +7,9 @@
  *                 [--threads=N] [--seed=S]
  *
  * Two sections, each printed as a table and recorded in a StatSet
- * dumped as JSON (default file: BENCH_system_pool.json):
+ * dumped as JSON inside the provenance envelope (commit, build type,
+ * machine, --quick, repetitions; default file: BENCH_system_pool.json,
+ * run from the repository root):
  *
  *  1. the litmus-corpus job fan — every (test, machine, policy, seed)
  *     simulation job run twice, once constructing a fresh System per
@@ -47,6 +49,13 @@ namespace {
 using namespace wo;
 
 benchutil::BenchOptions g_opts;
+
+/** Best-of repetitions behind every timing. */
+int
+reps()
+{
+    return g_opts.quick ? 2 : 3;
+}
 
 /** Best-of-@p reps wall time of @p fn, in nanoseconds. */
 template <class F>
@@ -139,7 +148,6 @@ benchJobFan(StatSet &stats,
             const std::vector<litmus_dsl::CompiledLitmus> &tests)
 {
     const int seeds = g_opts.quick ? 2 : 5;
-    const int reps = g_opts.quick ? 2 : 3;
     std::vector<const MachineSpec *> machines = {
         &machineOrThrow("bus"), &machineOrThrow("net"),
         &machineOrThrow("net-u")};
@@ -191,11 +199,11 @@ benchJobFan(StatSet &stats,
         std::exit(1);
     }
 
-    std::uint64_t fresh_ns = bestNs(reps, [&] { runFresh(nullptr); });
+    std::uint64_t fresh_ns = bestNs(reps(), [&] { runFresh(nullptr); });
     // The pool is warm from the verification pass, as it is after the
     // first few jobs of any campaign; every timed job is a reset.
     std::uint64_t pooled_ns =
-        bestNs(reps, [&] { runPooled(pool, nullptr); });
+        bestNs(reps(), [&] { runPooled(pool, nullptr); });
 
     std::uint64_t n = jobs.size();
     std::uint64_t fresh_jps =
@@ -236,7 +244,6 @@ benchResetMicro(StatSet &stats,
     benchutil::banner("Per-instance cost: construction vs reset "
                       "(no simulation)");
     const int iters = g_opts.quick ? 200 : 1000;
-    const int reps = g_opts.quick ? 2 : 3;
     // A representative 2-processor program: the corpus's first test.
     const MultiProgram &prog = tests.front().program;
 
@@ -252,7 +259,7 @@ benchResetMicro(StatSet &stats,
                           Cell{"net-u", PolicyKind::Sc}}) {
         SystemConfig cfg =
             machineOrThrow(c.machine).config(c.policy, 1);
-        std::uint64_t ctor_ns = bestNs(reps, [&] {
+        std::uint64_t ctor_ns = bestNs(reps(), [&] {
             for (int i = 0; i < iters; ++i) {
                 System sys(prog, cfg);
                 if (sys.eventQueue().now() != 0)
@@ -260,7 +267,7 @@ benchResetMicro(StatSet &stats,
             }
         });
         System sys(prog, cfg);
-        std::uint64_t reset_ns = bestNs(reps, [&] {
+        std::uint64_t reset_ns = bestNs(reps(), [&] {
             for (int i = 0; i < iters; ++i) {
                 sys.reset(cfg);
                 sys.loadProgram(prog);
@@ -315,11 +322,12 @@ main(int argc, char **argv)
         tests.push_back(litmus_dsl::compileLitmusFile(f));
 
     StatSet stats;
-    stats.set("quick", g_opts.quick ? 1 : 0);
     stats.set("corpus.tests", tests.size());
     benchJobFan(stats, tests);
     benchResetMicro(stats, tests);
 
-    benchutil::dumpJsonFile(stats, g_opts.jsonFile);
-    return 0;
+    return benchutil::dumpEnvelopeJson(stats, g_opts.jsonFile, "system_pool",
+                                       g_opts.quick, reps())
+               ? 0
+               : 2;
 }

@@ -8,12 +8,13 @@
  *   $ ./litmus_explorer [seeds] [--threads=N]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/sc_verifier.hh"
+#include "sim/decimal.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
@@ -65,7 +66,12 @@ main(int argc, char **argv)
         std::cerr << "litmus_explorer: " << e.what() << "\n";
         return 2;
     }
-    int seeds = argc > 1 ? std::atoi(argv[1]) : 100;
+    int seeds = 100;
+    if (argc > 2 || (argc == 2 && !parseDecimal(std::string_view(argv[1]),
+                                                 seeds, 1))) {
+        std::cerr << "usage: litmus_explorer [seeds] [--threads=N]\n";
+        return 2;
+    }
 
     const Config configs[] = {
         {"bus/no-cache  +WB", "bus-u", false},

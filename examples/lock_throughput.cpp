@@ -11,11 +11,12 @@
  *   $ ./lock_throughput [procs] [rounds]
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <string_view>
 
 #include "core/sc_verifier.hh"
+#include "sim/decimal.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
@@ -24,8 +25,15 @@ int
 main(int argc, char **argv)
 {
     using namespace wo;
-    int procs = argc > 1 ? std::atoi(argv[1]) : 4;
-    int rounds = argc > 2 ? std::atoi(argv[2]) : 6;
+    int procs = 4;
+    int rounds = 6;
+    if (argc > 3 ||
+        (argc > 1 && !parseDecimal(std::string_view(argv[1]), procs, 1,
+                                   64)) ||
+        (argc > 2 && !parseDecimal(std::string_view(argv[2]), rounds, 1))) {
+        std::cerr << "usage: lock_throughput [procs 1-64] [rounds >= 1]\n";
+        return 2;
+    }
 
     std::cout << procs << " processors x " << rounds
               << " lock-protected increments\n\n";

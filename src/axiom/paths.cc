@@ -46,7 +46,7 @@ struct ProcEnum
         regs.assign(num_regs, 0);
     }
 
-    std::vector<Word> stateKey(int pc) const
+    std::vector<Word> pcRegsKey(int pc) const
     {
         std::vector<Word> key;
         key.reserve(regs.size() + 1);
@@ -96,7 +96,7 @@ struct ProcEnum
         // register-sourced write (which could deposit new values), the
         // continuation's outcomes are all reachable from the first
         // visit, so this path is redundant.
-        auto key = stateKey(pc);
+        auto key = pcRegsKey(pc);
         auto [it, inserted] =
             onPath.emplace(std::move(key), static_cast<int>(events.size()));
         if (!inserted) {

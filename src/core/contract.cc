@@ -2,21 +2,24 @@
 
 #include <sstream>
 
+#include "axiom/enumerate.hh"
+
 namespace wo {
 
 ContractReport
 checkExecution(const MultiProgram &program, const ExecutionTrace &trace,
-               const RunResult *hw_result, const ContractOptions &options)
+               const RunResult *hw_result)
 {
     ContractReport report;
-    report.scReport = verifySc(trace, options.scLimits);
+    report.scReport = verifySc(trace);
     report.appearsSc = report.scReport.sc();
 
-    if (options.checkOutcomeSet && hw_result != nullptr) {
+    if (hw_result != nullptr) {
         report.outcomeChecked = true;
-        OutcomeSet set = enumerateOutcomes(program, options.enumLimits);
-        report.outcomeSetBounded = set.bounded;
-        report.outcomeInScSet = set.outcomes.count(*hw_result) > 0;
+        axiom::AxiomResult sc = axiom::enumerateAllowed(
+            program, {axiom::findAxiomModel("sc")}, {});
+        report.outcomeSetBounded = !sc.complete;
+        report.outcomeInScSet = sc.allowed.at("sc").count(*hw_result) > 0;
     }
     return report;
 }

@@ -6,12 +6,13 @@
  * synchronization model iff it appears sequentially consistent to all
  * software that obeys the model.
  *
- * ContractChecker operationalizes both halves:
- *  - the software side: does the program obey DRF0 (Definition 3)?
- *  - the hardware side: does a recorded hardware execution of the program
- *    have a sequentially consistent explanation (Lemma 1), and does its
- *    observable result fall inside the set of results the idealized
- *    architecture can produce?
+ * checkExecution() checks the hardware side for one execution: does the
+ * recorded trace have a sequentially consistent explanation (Lemma 1),
+ * and does its observable result fall inside the set of results the
+ * idealized architecture can produce? That set is the axiomatic "sc"
+ * model's allowed set (acyclic po U rf U co U fr). The software side,
+ * whether the program obeys DRF0 (Definition 3), is
+ * core/drf0_checker.hh.
  */
 
 #ifndef WO_CORE_CONTRACT_HH
@@ -19,8 +20,6 @@
 
 #include <string>
 
-#include "core/drf0_checker.hh"
-#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "core/trace.hh"
 #include "cpu/program.hh"
@@ -37,28 +36,17 @@ struct ContractReport
     ScReport scReport;
 
     /** Whether the observable result was also checked against the
-     * enumerated idealized outcome set. */
+     * idealized outcome set. */
     bool outcomeChecked = false;
 
     /** Result membership in the idealized outcome set (valid when
      * outcomeChecked). */
     bool outcomeInScSet = false;
 
-    /** The idealized outcome enumeration hit a cap. */
+    /** The outcome set's enumeration hit a cap, so it is a lower bound. */
     bool outcomeSetBounded = false;
 
     std::string toString() const;
-};
-
-/** Knobs for contract checking. */
-struct ContractOptions
-{
-    /** Also enumerate idealized outcomes and check result membership
-     * (more expensive; requires the hardware RunResult). */
-    bool checkOutcomeSet = false;
-
-    ScVerifierLimits scLimits;
-    EnumLimits enumLimits;
 };
 
 /**
@@ -66,13 +54,13 @@ struct ContractOptions
  *
  * @param program   the workload that was run
  * @param trace     the hardware execution's dynamic accesses
- * @param hw_result the hardware run's observable result (may be null when
- *                  options.checkOutcomeSet is false)
+ * @param hw_result the hardware run's observable result; when given, it
+ *                  is also checked for membership in the idealized
+ *                  outcome set (enumerated per call)
  */
 ContractReport checkExecution(const MultiProgram &program,
                               const ExecutionTrace &trace,
-                              const RunResult *hw_result = nullptr,
-                              const ContractOptions &options = {});
+                              const RunResult *hw_result = nullptr);
 
 } // namespace wo
 

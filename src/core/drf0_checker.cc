@@ -59,32 +59,6 @@ checkTrace(const ExecutionTrace &trace)
 }
 
 Drf0ProgramReport
-checkProgram(const MultiProgram &program, const Drf0CheckLimits &limits)
-{
-    Drf0ProgramReport report;
-    EnumLimits el;
-    el.maxStepsPerExecution = limits.maxStepsPerExecution;
-    el.maxExecutions = limits.maxExecutions;
-
-    bool exhaustive = forEachExecution(
-        program, el,
-        [&](const ExecutionTrace &trace, const RunResult &, bool) {
-            ++report.executions;
-            Drf0TraceReport tr = checkTrace(trace);
-            if (!tr.raceFree) {
-                report.obeysDrf0 = false;
-                report.witness = trace;
-                report.witnessReport = tr;
-                return false; // one racy witness is enough
-            }
-            return true;
-        });
-    if (!exhaustive && report.obeysDrf0)
-        report.bounded = true;
-    return report;
-}
-
-Drf0ProgramReport
 checkProgramSampled(const MultiProgram &program, int num_schedules,
                     std::uint64_t seed, int max_steps_per_execution)
 {

@@ -11,8 +11,11 @@
  * Two entry points are provided:
  *  - checkTrace(): classify one concrete execution (used for the Figure 2
  *    example and counter-example, and for dynamic race reporting);
- *  - checkProgram(): exhaustively enumerate idealized executions of a
- *    program and classify each (the literal Definition 3 quantifier).
+ *  - checkProgramSampled(): classify seeded random idealized executions
+ *    of a program. A race found decides the program racy; a clean run is
+ *    evidence for the Definition 3 quantifier, not proof. (Exhaustive
+ *    interleaving enumeration, the literal quantifier, is a test oracle
+ *    in tests/oracle/interleavings.hh.)
  *
  * Race detection runs on the vector-clock engine (core/race_detector.hh),
  * O(n * P) per trace: checkTrace() is the streaming checker
@@ -46,35 +49,22 @@ struct Drf0TraceReport
     std::string toString(const ExecutionTrace &trace) const;
 };
 
-/** Outcome of exhaustively checking a program. */
+/** Outcome of checking a program over idealized executions. */
 struct Drf0ProgramReport
 {
     /** True iff every explored idealized execution was race-free. */
     bool obeysDrf0 = true;
 
-    /** True if enumeration hit a cap, so the verdict is only a bounded
-     * guarantee. */
+    /** True if the explored executions may not be all of them, so the
+     * verdict is only a bounded guarantee. */
     bool bounded = false;
 
-    /** Number of complete idealized executions explored. */
+    /** Number of idealized executions explored. */
     std::uint64_t executions = 0;
 
     /** A witness racy execution, when one was found. */
     ExecutionTrace witness;
     Drf0TraceReport witnessReport;
-};
-
-/** Limits for exhaustive program checking. */
-struct Drf0CheckLimits
-{
-    /** Max instructions executed along one interleaving. */
-    int maxStepsPerExecution = 300;
-
-    /** Max interleavings explored (complete or capped). Exhaustive
-     * enumeration is exponential in interleavings; programs with
-     * unbounded spin loops will hit this cap and get a bounded verdict —
-     * use checkProgramSampled() for those. */
-    std::uint64_t maxExecutions = 50000;
 };
 
 /** Classify one execution: find every conflicting pair not ordered by the
@@ -87,17 +77,12 @@ struct Drf0CheckLimits
  * an execution, only from a hand-built trace. */
 Drf0TraceReport checkTrace(const ExecutionTrace &trace);
 
-/** Exhaustively check a program over idealized executions
- * (Definition 3). */
-Drf0ProgramReport checkProgram(const MultiProgram &program,
-                               const Drf0CheckLimits &limits = {});
-
 /**
  * Bounded DRF0 check over randomly scheduled idealized executions.
  *
- * For programs whose interleaving space is too large to enumerate
- * (anything with unbounded spin loops), run @p num_schedules seeded random
- * interleavings and race-check each trace. A race found proves the
+ * Run @p num_schedules seeded random interleavings and race-check each
+ * trace; this scales to programs with unbounded spin loops, whose
+ * interleavings cannot be enumerated. A race found proves the
  * program violates DRF0; a clean run is evidence, not proof (the report
  * is always marked bounded).
  *

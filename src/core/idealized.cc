@@ -1,7 +1,6 @@
 #include "core/idealized.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "core/race_detector.hh"
 
@@ -74,7 +73,6 @@ IdealizedMachine::reset()
     }
     memory_ = initial_;
     trace_.clearAccesses();
-    undo_.clear();
     steps_ = 0;
 }
 
@@ -115,55 +113,35 @@ IdealizedMachine::step(ProcId p)
     const Instruction &insn = op.insn;
     Word *regs = &regs_[regIndex(p, 0)];
 
-    UndoRecord u;
-    u.proc = p;
-    u.oldPc = pcs_[p];
-    u.oldPoIndex = poIndex_[p];
-
     int next_pc = pcs_[p] + 1;
+    bool halts = false;
     switch (insn.op) {
       case Opcode::Load:
       case Opcode::SyncRead: {
         Word v = memory_[static_cast<std::size_t>(op.slot)];
-        u.reg = insn.dst;
-        u.oldReg = regs[insn.dst];
         regs[insn.dst] = v;
         record(p, op, v, 0);
-        u.recordedAccess = true;
         break;
       }
       case Opcode::Store:
       case Opcode::SyncWrite: {
         Word v = insn.src >= 0 ? regs[insn.src] : insn.imm;
-        Word &mem = memory_[static_cast<std::size_t>(op.slot)];
-        u.slot = op.slot;
-        u.oldMem = mem;
-        mem = v;
+        memory_[static_cast<std::size_t>(op.slot)] = v;
         record(p, op, 0, v);
-        u.recordedAccess = true;
         break;
       }
       case Opcode::TestAndSet: {
         Word &mem = memory_[static_cast<std::size_t>(op.slot)];
         Word old = mem;
-        u.reg = insn.dst;
-        u.oldReg = regs[insn.dst];
-        u.slot = op.slot;
-        u.oldMem = old;
         regs[insn.dst] = old;
         mem = insn.imm;
         record(p, op, old, insn.imm);
-        u.recordedAccess = true;
         break;
       }
       case Opcode::Movi:
-        u.reg = insn.dst;
-        u.oldReg = regs[insn.dst];
         regs[insn.dst] = insn.imm;
         break;
       case Opcode::Addi:
-        u.reg = insn.dst;
-        u.oldReg = regs[insn.dst];
         regs[insn.dst] = regs[insn.src] + insn.imm;
         break;
       case Opcode::Beq:
@@ -178,50 +156,18 @@ IdealizedMachine::step(ProcId p)
       case Opcode::Nop:
         break;
       case Opcode::Halt:
-        u.halts = true;
-        next_pc = pcs_[p];
+        halts = true;
         break;
     }
-    if (!u.halts && next_pc >= static_cast<int>(code.size())) {
-        // Fell off the end: implicit halt.
-        u.halts = true;
-        next_pc = pcs_[p];
-    }
-    if (u.halts) {
+    // Falling off the end is an implicit halt.
+    if (halts || next_pc >= static_cast<int>(code.size())) {
         halted_[p] = 1;
         --running_;
+    } else {
+        pcs_[p] = next_pc;
     }
-    pcs_[p] = next_pc;
-    // Online detection cannot rewind, so unstep() is off while a
-    // detector is attached and nothing needs recording for it.
-    if (!detector_)
-        undo_.push_back(u);
     ++steps_;
     return true;
-}
-
-void
-IdealizedMachine::unstep()
-{
-    assert(!undo_.empty());
-    // Online detection cannot rewind: backtracking enumeration must not
-    // attach a detector.
-    assert(detector_ == nullptr);
-    UndoRecord u = undo_.back();
-    undo_.pop_back();
-    pcs_[u.proc] = u.oldPc;
-    poIndex_[u.proc] = u.oldPoIndex;
-    if (u.reg >= 0)
-        regs_[regIndex(u.proc, u.reg)] = u.oldReg;
-    if (u.slot >= 0)
-        memory_[static_cast<std::size_t>(u.slot)] = u.oldMem;
-    if (u.halts) {
-        halted_[u.proc] = 0;
-        ++running_;
-    }
-    if (u.recordedAccess)
-        trace_.popLast();
-    --steps_;
 }
 
 RunResult
@@ -241,122 +187,17 @@ IdealizedMachine::result() const
     return r;
 }
 
-std::vector<std::uint64_t>
-IdealizedMachine::stateKey() const
-{
-    std::vector<std::uint64_t> key;
-    key.reserve(1 + pcs_.size() * (1 + nregs_) + memory_.size());
-    std::uint64_t halt_bits = 0;
-    for (std::size_t p = 0; p < halted_.size(); ++p) {
-        if (halted_[p])
-            halt_bits |= 1ull << p;
-    }
-    key.push_back(halt_bits);
-    for (std::size_t p = 0; p < pcs_.size(); ++p) {
-        key.push_back(static_cast<std::uint64_t>(pcs_[p]));
-        for (std::size_t r = 0; r < nregs_; ++r)
-            key.push_back(regs_[p * nregs_ + r]);
-    }
-    for (Word v : memory_)
-        key.push_back(v);
-    return key;
-}
-
-OutcomeSet
-enumerateOutcomes(const MultiProgram &program, const EnumLimits &limits)
-{
-    IdealizedMachine m(program);
-    OutcomeSet out;
-    std::set<std::vector<std::uint64_t>> visited;
-
-    std::function<void(int)> dfs = [&](int depth) {
-        if (out.bounded && visited.size() >= limits.maxStates)
-            return;
-        if (!visited.insert(m.stateKey()).second)
-            return;
-        ++out.statesVisited;
-        if (visited.size() >= limits.maxStates) {
-            out.bounded = true;
-            return;
-        }
-        if (m.allHalted()) {
-            out.outcomes.insert(m.result());
-            return;
-        }
-        if (depth >= limits.maxStepsPerExecution) {
-            out.bounded = true;
-            return;
-        }
-        for (ProcId p = 0; p < program.numProcs(); ++p) {
-            if (m.halted(p))
-                continue;
-            m.step(p);
-            dfs(depth + 1);
-            m.unstep();
-        }
-    };
-    dfs(0);
-    return out;
-}
-
-bool
-forEachExecution(
-    const MultiProgram &program, const EnumLimits &limits,
-    const std::function<bool(const ExecutionTrace &, const RunResult &,
-                             bool complete)> &visit)
-{
-    IdealizedMachine m(program);
-    std::uint64_t execs = 0;
-    bool capped = false;
-    bool stopped = false;
-
-    std::function<void(int)> dfs = [&](int depth) {
-        if (stopped)
-            return;
-        if (m.allHalted()) {
-            ++execs;
-            if (!visit(m.trace(), m.result(), true))
-                stopped = true;
-            if (execs >= limits.maxExecutions) {
-                capped = true;
-                stopped = true;
-            }
-            return;
-        }
-        if (depth >= limits.maxStepsPerExecution) {
-            capped = true;
-            ++execs;
-            if (!visit(m.trace(), m.result(), false))
-                stopped = true;
-            if (execs >= limits.maxExecutions) {
-                capped = true;
-                stopped = true;
-            }
-            return;
-        }
-        for (ProcId p = 0; p < program.numProcs(); ++p) {
-            if (m.halted(p))
-                continue;
-            m.step(p);
-            dfs(depth + 1);
-            m.unstep();
-            if (stopped)
-                return;
-        }
-    };
-    dfs(0);
-    return !capped && !stopped;
-}
-
 RunResult
 runWithSchedule(const MultiProgram &program,
                 const std::vector<ProcId> &schedule,
-                ExecutionTrace *trace_out, const EnumLimits &limits)
+                ExecutionTrace *trace_out)
 {
+    // Bounds a schedule that never lets a spinning processor halt.
+    constexpr int kMaxSteps = 10000;
     IdealizedMachine m(program);
     int steps = 0;
     for (ProcId p : schedule) {
-        if (steps >= limits.maxStepsPerExecution)
+        if (steps >= kMaxSteps)
             break;
         if (p >= 0 && p < program.numProcs() && !m.halted(p)) {
             m.step(p);
@@ -364,7 +205,7 @@ runWithSchedule(const MultiProgram &program,
         }
     }
     // Round-robin to completion.
-    while (!m.allHalted() && steps < limits.maxStepsPerExecution) {
+    while (!m.allHalted() && steps < kMaxSteps) {
         bool progressed = false;
         for (ProcId p = 0; p < program.numProcs(); ++p) {
             if (!m.halted(p)) {

@@ -5,21 +5,18 @@
  * of this machine; Definition 2 compares hardware results against its
  * outcome set.
  *
- * Three services are provided:
- *  - single-step interpretation (IdealizedMachine), used to replay specific
- *    interleavings;
- *  - exhaustive enumeration of the set of sequentially consistent outcomes
- *    (memoized over machine states);
- *  - exhaustive enumeration of executions with their traces (unmemoized),
- *    used by the DRF0 program checker.
+ * The library interprets single executions of it: IdealizedMachine steps
+ * one processor at a time (the sampled DRF0 check drives it with random
+ * schedules), and runWithSchedule() replays one given interleaving. The
+ * set of outcomes over all interleavings is the axiomatic "sc" model's
+ * allowed set (axiom/enumerate.hh); the brute-force interleaving
+ * enumerators that the tests pin it against live in tests/oracle/.
  */
 
 #ifndef WO_CORE_IDEALIZED_HH
 #define WO_CORE_IDEALIZED_HH
 
 #include <cstdint>
-#include <functional>
-#include <set>
 #include <vector>
 
 #include "core/trace.hh"
@@ -51,8 +48,7 @@ class IdealizedMachine
      * extension of the happens-before relation on this machine), so
      * callers can poll RaceDetector::hasRace() after each step() and
      * abandon the execution at its first race. Only accesses recorded
-     * after attachment are observed; incompatible with unstep(), so no
-     * undo record is kept while a detector is attached.
+     * after attachment are observed.
      */
     void attachRaceDetector(RaceDetector *det);
 
@@ -78,9 +74,6 @@ class IdealizedMachine
      */
     bool step(ProcId p);
 
-    /** Undo the most recent step (for backtracking enumeration). */
-    void unstep();
-
     /** Current value of a memory location (0 if the program never
      * touches it). */
     Word memory(Addr a) const;
@@ -97,9 +90,6 @@ class IdealizedMachine
     /** Snapshot the observable outcome of the current state. */
     RunResult result() const;
 
-    /** Compact serialization of the state, for memoization. */
-    std::vector<std::uint64_t> stateKey() const;
-
   private:
     /** One instruction with its memory slot resolved. */
     struct Op
@@ -107,19 +97,6 @@ class IdealizedMachine
         Instruction insn;
         AccessKind kind = AccessKind::DataRead; ///< memory ops only
         int slot = -1;                          ///< memory ops only
-    };
-
-    struct UndoRecord
-    {
-        ProcId proc;
-        int oldPc;
-        int reg = -1;
-        Word oldReg = 0;
-        int slot = -1; ///< memory slot written, or -1
-        Word oldMem = 0;
-        bool halts = false;
-        bool recordedAccess = false;
-        int oldPoIndex = 0;
     };
 
     std::size_t
@@ -146,68 +123,18 @@ class IdealizedMachine
     std::vector<int> poIndex_;
     std::vector<Word> memory_; ///< slot -> current value
     ExecutionTrace trace_;
-    std::vector<UndoRecord> undo_;
     std::uint64_t steps_ = 0;
 };
-
-/** Limits on exhaustive enumeration. */
-struct EnumLimits
-{
-    /** Max instructions along any single interleaving. */
-    int maxStepsPerExecution = 10000;
-
-    /** Max complete interleavings (unmemoized enumeration). */
-    std::uint64_t maxExecutions = 2000000;
-
-    /** Max distinct states (memoized outcome enumeration). */
-    std::uint64_t maxStates = 5000000;
-};
-
-/** Result of outcome enumeration. */
-struct OutcomeSet
-{
-    /** Every outcome reachable by some idealized execution. */
-    std::set<RunResult> outcomes;
-
-    /** True if a cap was hit, making the set a lower bound. */
-    bool bounded = false;
-
-    /** Distinct machine states visited. */
-    std::uint64_t statesVisited = 0;
-};
-
-/**
- * Enumerate the full set of sequentially consistent outcomes of
- * @p program.
- */
-OutcomeSet enumerateOutcomes(const MultiProgram &program,
-                             const EnumLimits &limits = {});
-
-/**
- * Visit every idealized execution of @p program (every interleaving).
- *
- * The callback receives the trace and outcome; @c complete is false when
- * the interleaving was cut off by the per-execution step cap. Return false
- * from the callback to stop the enumeration early.
- *
- * @return true if the enumeration covered everything (no caps hit and not
- *         stopped early).
- */
-bool forEachExecution(
-    const MultiProgram &program, const EnumLimits &limits,
-    const std::function<bool(const ExecutionTrace &, const RunResult &,
-                             bool complete)> &visit);
 
 /**
  * Replay a specific interleaving: entries of @p schedule name the
  * processor to step next (entries for halted processors are skipped);
  * after the schedule is exhausted, execution continues round-robin until
- * all processors halt or @p limits.maxStepsPerExecution is reached.
+ * all processors halt or 10,000 instructions have run in total.
  */
 RunResult runWithSchedule(const MultiProgram &program,
                           const std::vector<ProcId> &schedule,
-                          ExecutionTrace *trace_out = nullptr,
-                          const EnumLimits &limits = {});
+                          ExecutionTrace *trace_out = nullptr);
 
 } // namespace wo
 

@@ -53,7 +53,7 @@ struct Race
 /** What the detector reports. */
 enum class RaceDetectMode {
     /** Stop at the first race: the hot-path mode for online DRF0
-     * verdicts (checkProgramSampled, checkProgram). Per-address state is
+     * verdicts (checkProgramSampled). Per-address state is
      * pure FastTrack epochs. */
     FirstRace,
 

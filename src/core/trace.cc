@@ -30,23 +30,6 @@ ExecutionTrace::reserve(int n)
 }
 
 void
-ExecutionTrace::popLast()
-{
-    assert(!accesses_.empty());
-    const Access &a = accesses_.back();
-    if (a.proc >= 0) {
-        IndexList &pi = byProc_[static_cast<std::size_t>(a.proc)];
-        pi.ids.pop_back();
-        pi.dirty = true;
-    }
-    accesses_.pop_back();
-    // Keep numProcs() == highest present processor + 1.
-    while (nprocs_ > 0 &&
-           byProc_[static_cast<std::size_t>(nprocs_ - 1)].ids.empty())
-        --nprocs_;
-}
-
-void
 ExecutionTrace::popFront(int n)
 {
     assert(n >= 0 && n <= static_cast<int>(accesses_.size()));

@@ -27,7 +27,7 @@ namespace wo {
  * hypothetical initializing write + synchronization preamble.
  *
  * The per-processor id index is maintained incrementally by
- * add()/popLast()/popFront(), so accessesOf() returns a cached const
+ * add()/popFront(), so accessesOf() returns a cached const
  * reference instead of scanning and copying the trace on every call.
  *
  * Windowed retention: popFront() retires the oldest accesses so only a
@@ -95,9 +95,6 @@ class ExecutionTrace
     /** All resident accesses, oldest first. */
     const std::vector<Access> &accesses() const { return accesses_; }
 
-    /** Remove the most recently added access (backtracking support). */
-    void popLast();
-
     /** Retire the @p n oldest resident accesses. Their ids remain
      * assigned (size() does not shrink) but they can no longer be
      * inspected; the per-proc index caches are pruned and invalidated. */
@@ -116,7 +113,7 @@ class ExecutionTrace
     int numProcs() const { return nprocs_; }
 
     /** Trace ids of @p proc's resident accesses, sorted by program order.
-     * The reference is valid until the next add()/popLast()/popFront(). */
+     * The reference is valid until the next add()/popFront(). */
     const std::vector<int> &accessesOf(ProcId proc) const;
 
     /** Distinct addresses appearing in the resident window. */

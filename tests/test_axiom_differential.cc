@@ -5,8 +5,9 @@
  *
  *  - Golden oracle: the "sc" model's allowed-outcome set must equal the
  *    brute-force interleaving enumeration of the idealized machine,
- *    exactly, for the whole shipped corpus and for a fleet of random
- *    generated programs (SC = "some interleaving produces it").
+ *    exactly, for the whole shipped corpus, the C++ litmus builders and
+ *    a fleet of random generated programs (SC = "some interleaving
+ *    produces it"). checkExecution() takes its outcome set from "sc".
  *  - Simulator containment: every outcome any simulated machine
  *    produces must be allowed by the model bounding its policy — the
  *    corpus via the litmus runner's built-in axiom stage, random
@@ -22,11 +23,12 @@
 #include <gtest/gtest.h>
 
 #include "axiom/enumerate.hh"
-#include "core/idealized.hh"
 #include "litmus/compiler.hh"
 #include "litmus/runner.hh"
+#include "oracle/interleavings.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
+#include "workload/litmus.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {
@@ -91,6 +93,30 @@ TEST(AxiomDifferential, CorpusScEqualsIdealizedEnumeration)
         const std::set<RunResult> &wb = ax.allowed.at("wb");
         for (const RunResult &r : oracle.outcomes)
             EXPECT_TRUE(wb.count(r)) << t.name;
+    }
+}
+
+TEST(AxiomDifferential, BuilderProgramsScEqualsIdealizedEnumeration)
+{
+    // The C++ builders intern addresses differently from the corpus
+    // files they mirror (test_litmus_roundtrip), and they are the
+    // programs checkExecution() is called on in the tests.
+    const std::vector<MultiProgram> builders = {
+        dekkerLitmus(),           racyMessagePassing(0),
+        racyMessagePassing(2),    syncMessagePassing(),
+        figure3Scenario(3),       tttasLockCounter(2, 1),
+        tasLockCounter(2, 1),     syncBarrier(2),
+        iriwLitmus(),             petersonCounter(false, 1),
+        petersonCounter(true, 1),
+    };
+    for (const MultiProgram &mp : builders) {
+        axiom::AxiomResult ax = axiom::enumerateAllowed(
+            mp, {axiom::findAxiomModel("sc")}, {});
+        ASSERT_TRUE(ax.complete) << mp.name();
+
+        OutcomeSet oracle = enumerateOutcomes(mp);
+        ASSERT_FALSE(oracle.bounded) << mp.name();
+        EXPECT_EQ(ax.allowed.at("sc"), oracle.outcomes) << mp.name();
     }
 }
 

@@ -212,9 +212,7 @@ TEST(ContractOutcome, RandomDrf0OutcomeMatchesSomeScExplanation)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     RunResult hw = sys.result();
-    ContractOptions opts;
-    opts.checkOutcomeSet = true;
-    ContractReport rep = checkExecution(mp, sys.trace(), &hw, opts);
+    ContractReport rep = checkExecution(mp, sys.trace(), &hw);
     EXPECT_TRUE(rep.appearsSc) << rep.toString();
     EXPECT_TRUE(rep.outcomeInScSet) << hw.toString();
 }

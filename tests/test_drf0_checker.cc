@@ -7,6 +7,7 @@
 
 #include "core/drf0_checker.hh"
 #include "cpu/program_builder.hh"
+#include "oracle/interleavings.hh"
 
 namespace wo {
 namespace {

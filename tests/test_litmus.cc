@@ -8,6 +8,7 @@
 
 #include "core/drf0_checker.hh"
 #include "core/idealized.hh"
+#include "oracle/interleavings.hh"
 #include "workload/litmus.hh"
 
 namespace wo {

@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
-#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
+#include "oracle/interleavings.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"
 

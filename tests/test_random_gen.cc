@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
+#include "oracle/interleavings.hh"
 #include "workload/random_gen.hh"
 
 namespace wo {

@@ -226,9 +226,7 @@ TEST(SystemDrf0, OutcomeWithinIdealizedSet)
     System sys(mp, cfg);
     ASSERT_TRUE(sys.run());
     RunResult hw = sys.result();
-    ContractOptions opts;
-    opts.checkOutcomeSet = true;
-    ContractReport rep = checkExecution(mp, sys.trace(), &hw, opts);
+    ContractReport rep = checkExecution(mp, sys.trace(), &hw);
     EXPECT_TRUE(rep.appearsSc) << rep.toString();
     EXPECT_TRUE(rep.outcomeChecked);
     EXPECT_TRUE(rep.outcomeInScSet) << hw.toString();

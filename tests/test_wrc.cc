@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/drf0_checker.hh"
-#include "core/idealized.hh"
 #include "core/sc_verifier.hh"
 #include "cpu/program_builder.hh"
+#include "oracle/interleavings.hh"
 #include "system/system.hh"
 
 namespace wo {

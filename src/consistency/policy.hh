@@ -3,19 +3,19 @@
  * Consistency policies: the processor-side issue disciplines that
  * distinguish the memory models compared in the paper.
  *
- * A policy decides, per candidate instruction, whether the processor may
+ * Each model is one row of a rule table keyed by PolicyKind. A policy
+ * decides, per candidate instruction, whether the processor may
  * *generate* the access given what is still outstanding — the knob that
  * separates sequential consistency, Definition 1 weak ordering, and the
  * two Definition 2 / data-race-free implementations. The matching
  * cache-side mechanisms (reserve bits, the coherence-level treatment of
- * read-only synchronization) are selected through the policy's hints.
+ * read-only synchronization) are columns of the same row.
  */
 
 #ifndef WO_CONSISTENCY_POLICY_HH
 #define WO_CONSISTENCY_POLICY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "cpu/isa.hh"
@@ -25,9 +25,6 @@ namespace wo {
 /** Snapshot of a processor's outstanding-access bookkeeping. */
 struct ProcState
 {
-    /** Issued memory ops not yet committed. */
-    int outstanding = 0;
-
     /** Issued memory ops not yet globally performed. */
     int notGloballyPerformed = 0;
 
@@ -36,9 +33,6 @@ struct ProcState
 
     /** Synchronization ops issued but not yet globally performed. */
     int syncsNotGloballyPerformed = 0;
-
-    /** Writes sitting in the write buffer (relaxed systems). */
-    int writeBufferDepth = 0;
 };
 
 /**
@@ -76,47 +70,6 @@ inline constexpr int kNumStallReasons = 6;
 /** Snake-case reason name ("counter_nonzero", ...). */
 const char *toString(StallReason r);
 
-/** Abstract issue policy. */
-class ConsistencyPolicy
-{
-  public:
-    virtual ~ConsistencyPolicy() = default;
-
-    /** Short name used in reports ("SC", "WO-Def1", ...). */
-    virtual std::string name() const = 0;
-
-    /** May an access of kind @p kind be generated given @p st? */
-    virtual bool mayIssue(AccessKind kind, const ProcState &st) const = 0;
-
-    /** The policy's mechanisms need a coherent cache (Definition 2
-     * implementations do: reserve bits live in the cache). */
-    virtual bool requiresCache() const { return false; }
-
-    /** Cache hint: treat read-only syncs (Test) as writes (Section 5
-     * example implementation) or as reads (Section 6 refinement). */
-    virtual bool syncReadsAsWrites() const { return true; }
-
-    /** Cache hint: enable the reserve-bit machinery (condition 5). */
-    virtual bool useReserveBits() const { return false; }
-
-    /** Whether a write buffer (reads bypassing pending writes) is legal
-     * under this policy. */
-    virtual bool allowWriteBuffer() const { return false; }
-
-    /**
-     * Stall attribution: the reason behind a mayIssue() refusal (only
-     * meaningful when mayIssue just returned false). The default covers
-     * the globally-performed waits of SC and Definition 1; the
-     * Definition 2 implementations override it — their only wait is
-     * condition 4, whose duration the reserve-bit hardware governs.
-     */
-    virtual StallReason
-    refusalReason(AccessKind, const ProcState &) const
-    {
-        return StallReason::CounterNonzero;
-    }
-};
-
 /** Identifiers for the built-in policies. */
 enum class PolicyKind {
     Sc,       ///< sequential consistency (Scheurich/Dubois condition)
@@ -126,11 +79,93 @@ enum class PolicyKind {
     Relaxed,  ///< no ordering constraints (exhibits Figure 1 violations)
 };
 
-/** Name of a policy kind ("SC", "WO-Def1", ...). */
+/** Report name of a policy kind ("SC", "WO-Def1", ...). */
 std::string toString(PolicyKind k);
 
-/** Factory for built-in policies. */
-std::unique_ptr<ConsistencyPolicy> makePolicy(PolicyKind kind);
+/**
+ * Command-line name ("sc", "def1", "def2drf0", "def2drf1", "relaxed")
+ * to kind. Returns false, leaving @p out alone, for any other text.
+ */
+bool parsePolicyName(const std::string &name, PolicyKind *out);
+
+/**
+ * May an access of kind @p access be generated given @p st? Inline: the
+ * processor asks on every dispatch attempt.
+ */
+inline bool
+mayIssue(PolicyKind kind, AccessKind access, const ProcState &st)
+{
+    switch (kind) {
+      case PolicyKind::Sc:
+        // Scheurich/Dubois sufficient condition: no access is issued
+        // until all the processor's previous accesses are globally
+        // performed.
+        return st.notGloballyPerformed == 0;
+      case PolicyKind::Def1:
+        // Dubois, Scheurich and Briggs. Condition 1 (syncs strongly
+        // ordered) is the directory's, which serializes them as writes.
+        // Data accesses overlap freely between synchronization points;
+        // the processor stalls *itself* around synchronization — the
+        // global manifestation Definition 2's implementation avoids.
+        if (isSync(access)) {
+            // Condition 2: every previous access globally performed.
+            return st.notGloballyPerformed == 0;
+        }
+        // Condition 3: every previous sync globally performed.
+        return st.syncsNotGloballyPerformed == 0;
+      case PolicyKind::Def2Drf0:
+      case PolicyKind::Def2Drf1:
+        // Section 5.1 condition 4: a new access is not generated until
+        // all previous synchronization operations are *committed*, not
+        // globally performed. The issuing processor never waits for its
+        // pending data at a synchronization point; the cache-side
+        // reserve bits (condition 5) instead stall the *next* processor
+        // that synchronizes on the same location until this one's
+        // previous reads have committed and writes are globally
+        // performed.
+        return st.syncsNotCommitted == 0;
+      case PolicyKind::Relaxed:
+        // No ordering beyond intra-processor dependencies. With a write
+        // buffer, reads pass buffered writes — the uniprocessor
+        // optimizations whose multiprocessor consequences Figure 1
+        // illustrates.
+        return true;
+    }
+    return true;
+}
+
+/**
+ * Stall attribution: the reason behind a mayIssue() refusal (only
+ * meaningful when mayIssue just returned false). CounterNonzero for the
+ * globally-performed waits of SC and Definition 1; ReserveBit for the
+ * Definition 2 implementations, whose only wait is condition 4 and whose
+ * duration the reserve-bit hardware at remote caches governs.
+ */
+StallReason refusalReason(PolicyKind kind);
+
+/** The policy's mechanisms need a coherent cache (Definition 2
+ * implementations do: reserve bits live in the cache). */
+bool requiresCache(PolicyKind kind);
+
+/** Cache hint: treat read-only syncs (Test) as writes (Section 5
+ * example implementation) or as reads (Section 6 refinement). */
+bool syncReadsAsWrites(PolicyKind kind);
+
+/** Cache hint: enable the reserve-bit machinery (condition 5). */
+bool useReserveBits(PolicyKind kind);
+
+/** Whether a write buffer (reads bypassing pending writes) is legal
+ * under this policy. */
+bool allowWriteBuffer(PolicyKind kind);
+
+/**
+ * Does hardware under @p kind promise sequentially consistent results
+ * for a program that is (@p programDrf0) or is not data-race-free? SC
+ * always does; the weakly ordered implementations do exactly for DRF0
+ * software (Definition 2's contract; Definition 1 is strictly stronger);
+ * Relaxed never does.
+ */
+bool promisesSc(PolicyKind kind, bool programDrf0);
 
 } // namespace wo
 

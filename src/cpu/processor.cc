@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/trace_sink.hh"
-#include "sim/logging.hh"
 
 namespace wo {
 
@@ -27,7 +26,7 @@ accessKindTag(AccessKind k)
 
 Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
                      const Program &program, MemPort &port,
-                     const ConsistencyPolicy &policy, ExecutionTrace *trace,
+                     PolicyKind policy, ExecutionTrace *trace,
                      const ProcessorConfig &cfg)
     : eq_(eq), stats_(stats), id_(id), program_(&program), port_(port),
       policy_(policy), trace_(trace), cfg_(cfg),
@@ -42,7 +41,7 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
     int nregs = std::max(program.maxRegister() + 1, 1);
     regs_.assign(nregs, 0);
     reg_busy_.assign(nregs, false);
-    assert((!cfg_.useWriteBuffer || policy_.allowWriteBuffer()) &&
+    assert((!cfg_.useWriteBuffer || allowWriteBuffer(policy_)) &&
            "write buffer is illegal under this consistency policy");
     port_.setPortClient(this);
 }
@@ -244,11 +243,9 @@ ProcState
 Processor::snapshot() const
 {
     ProcState st;
-    st.outstanding = outstanding_;
     st.notGloballyPerformed = not_gp_;
     st.syncsNotCommitted = syncs_not_committed_;
     st.syncsNotGloballyPerformed = syncs_not_gp_;
-    st.writeBufferDepth = static_cast<int>(write_buffer_.size());
     return st;
 }
 
@@ -434,9 +431,9 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
         *why = StallReason::BufferFull;
         return false;
     }
-    if (!policy_.mayIssue(kind, snapshot())) {
+    if (!mayIssue(policy_, kind, snapshot())) {
         stats_.inc(stat_.policyStalls);
-        *why = policy_.refusalReason(kind, snapshot());
+        *why = refusalReason(policy_);
         return false;
     }
 

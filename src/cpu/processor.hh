@@ -1,7 +1,7 @@
 /**
  * @file
  * The simulated processor: executes one Program, issuing memory accesses
- * through a MemPort under the control of a ConsistencyPolicy.
+ * through a MemPort under the issue rule of a consistency policy.
  *
  * Intra-processor dependencies (condition 1 of Section 5.1) are always
  * preserved: register data dependencies via a scoreboard, and
@@ -52,6 +52,8 @@ struct ProcessorConfig
 
     /** Cycle time: one instruction dispatched per cycle. */
     Tick cycle = 1;
+
+    bool operator==(const ProcessorConfig &) const = default;
 };
 
 /** One simulated processor. */
@@ -60,7 +62,7 @@ class Processor : public CacheClient
   public:
     Processor(EventQueue &eq, StatSet &stats, ProcId id,
               const Program &program, MemPort &port,
-              const ConsistencyPolicy &policy, ExecutionTrace *trace,
+              PolicyKind policy, ExecutionTrace *trace,
               const ProcessorConfig &cfg);
 
     /** Kick off execution (schedules the first dispatch). */
@@ -167,7 +169,7 @@ class Processor : public CacheClient
      * MultiProgram changes, hence a pointer rather than a reference. */
     const Program *program_;
     MemPort &port_;
-    const ConsistencyPolicy &policy_;
+    PolicyKind policy_;
     ExecutionTrace *trace_;
     ProcessorConfig cfg_;
     std::string name_;

@@ -38,25 +38,6 @@ struct CellPlan
     const MachineSpec *machine;
 };
 
-bool
-scPromised(PolicyKind policy, bool drf0)
-{
-    switch (policy) {
-      case PolicyKind::Sc:
-        return true;
-      case PolicyKind::Def1:
-      case PolicyKind::Def2Drf0:
-      case PolicyKind::Def2Drf1:
-        // Weakly ordered hardware promises SC results exactly for
-        // DRF0 software (the paper's Definition 2 contract; Definition
-        // 1 is strictly stronger).
-        return drf0;
-      case PolicyKind::Relaxed:
-        return false;
-    }
-    return false;
-}
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -281,7 +262,7 @@ runCorpus(const std::vector<CompiledLitmus> &tests,
                 report.stats.merge(o.stats);
             }
 
-            bool promised = scPromised(cell.policy, tr.drf0);
+            bool promised = promisesSc(cell.policy, tr.drf0);
             if (test.clause.kind == ClauseKind::Forbidden) {
                 cell.enforced = promised || test.clause.always;
                 if (cell.enforced && cell.hits > 0) {

@@ -11,15 +11,15 @@ namespace wo {
 System::System(const MultiProgram &program, const SystemConfig &cfg)
     : program_(program), cfg_(cfg)
 {
-    policy_ = makePolicy(cfg_.policy);
-    if (policy_->requiresCache() && !cfg_.cached) {
+    if (requiresCache(cfg_.policy) && !cfg_.cached) {
         throw std::invalid_argument(
-            policy_->name() +
+            toString(cfg_.policy) +
             " needs a cache-coherent system (reserve bits live in caches)");
     }
-    if (cfg_.writeBuffer && !policy_->allowWriteBuffer()) {
+    if (cfg_.writeBuffer && !allowWriteBuffer(cfg_.policy)) {
         throw std::invalid_argument(
-            "write buffers are illegal under policy " + policy_->name());
+            "write buffers are illegal under policy " +
+            toString(cfg_.policy));
     }
     if (cfg_.numDirs < 1 || cfg_.numMemModules < 1)
         throw std::invalid_argument("need at least one memory/dir bank");
@@ -42,8 +42,8 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
     if (cfg_.cached) {
         CacheConfig ccfg = cfg_.cache;
         ccfg.protocol = cfg_.protocol;
-        ccfg.syncReadsAsWrites = policy_->syncReadsAsWrites();
-        ccfg.useReserveBits = policy_->useReserveBits();
+        ccfg.syncReadsAsWrites = syncReadsAsWrites(cfg_.policy);
+        ccfg.useReserveBits = useReserveBits(cfg_.policy);
         DirectoryConfig dcfg = cfg_.dir;
         dcfg.protocol = cfg_.protocol;
         // Node layout: L1s at [0, n); with an L2 level, L2s at [n, 2n)
@@ -92,7 +92,7 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
                             ? static_cast<MemPort &>(*caches_[p])
                             : static_cast<MemPort &>(*uncached_ports_[p]);
         procs_.push_back(std::make_unique<Processor>(
-            eq_, stats_, p, program_.program(p), port, *policy_, &trace_,
+            eq_, stats_, p, program_.program(p), port, cfg_.policy, &trace_,
             pcfg));
     }
 
@@ -106,38 +106,14 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
 bool
 System::structurallyCompatible(const SystemConfig &cfg) const
 {
-    return cfg.cached == cfg_.cached &&
-           cfg.interconnect == cfg_.interconnect &&
-           cfg.policy == cfg_.policy &&
-           cfg.protocol == cfg_.protocol &&
-           cfg.cacheLevels == cfg_.cacheLevels &&
-           cfg.l2.numSets == cfg_.l2.numSets &&
-           cfg.l2.ways == cfg_.l2.ways &&
-           cfg.l2.latency == cfg_.l2.latency &&
-           cfg.writeBuffer == cfg_.writeBuffer &&
-           cfg.numMemModules == cfg_.numMemModules &&
-           cfg.numDirs == cfg_.numDirs &&
-           cfg.bus.latency == cfg_.bus.latency &&
-           cfg.bus.occupancy == cfg_.bus.occupancy &&
-           cfg.net.base == cfg_.net.base &&
-           cfg.net.jitter == cfg_.net.jitter &&
-           cfg.mem.serviceLatency == cfg_.mem.serviceLatency &&
-           cfg.dir.latency == cfg_.dir.latency &&
-           cfg.cache.numSets == cfg_.cache.numSets &&
-           cfg.cache.ways == cfg_.cache.ways &&
-           cfg.cache.hitLatency == cfg_.cache.hitLatency &&
-           cfg.cache.invApplyDelay == cfg_.cache.invApplyDelay &&
-           cfg.cache.syncReadsAsWrites == cfg_.cache.syncReadsAsWrites &&
-           cfg.cache.useReserveBits == cfg_.cache.useReserveBits &&
-           cfg.cache.maxMissesWhileReserved ==
-               cfg_.cache.maxMissesWhileReserved &&
-           cfg.cache.epochReserveClearing ==
-               cfg_.cache.epochReserveClearing &&
-           cfg.proc.useWriteBuffer == cfg_.proc.useWriteBuffer &&
-           cfg.proc.wbDrainDelay == cfg_.proc.wbDrainDelay &&
-           cfg.proc.maxOutstanding == cfg_.proc.maxOutstanding &&
-           cfg.proc.cycle == cfg_.proc.cycle &&
-           cfg.warmCaches == cfg_.warmCaches;
+    // The four values that may vary between jobs of one campaign cell
+    // are taken from the built config; everything else must match.
+    SystemConfig c = cfg;
+    c.net.seed = cfg_.net.seed;
+    c.maxTicks = cfg_.maxTicks;
+    c.traceSink = cfg_.traceSink;
+    c.coverage = cfg_.coverage;
+    return c == cfg_;
 }
 
 bool
@@ -505,7 +481,7 @@ System::description() const
     std::ostringstream oss;
     oss << (cfg_.interconnect == InterconnectKind::Bus ? "bus" : "network")
         << "/" << (cfg_.cached ? "cached" : "uncached") << "/"
-        << policy_->name();
+        << toString(cfg_.policy);
     if (cfg_.writeBuffer)
         oss << "+wb";
     return oss.str();

@@ -93,6 +93,8 @@ struct SystemConfig
      * the System nothing when the pool drops it.
      */
     CoverageMap *coverage = nullptr;
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** A complete simulated multiprocessor running one workload. */
@@ -134,8 +136,8 @@ class System
     /**
      * Restore construction-time state for reuse under @p cfg, which must
      * be structurally compatible with the built topology (every field
-     * equal except net.seed, maxTicks and traceSink — the three that can
-     * vary between jobs of one campaign cell). Throws
+     * equal except net.seed, maxTicks, traceSink and coverage — the four
+     * that can vary between jobs of one campaign cell). Throws
      * std::invalid_argument otherwise. All component state, statistics
      * and the trace are cleared; pooled event slabs are retained. A
      * program must be (re)installed with loadProgram() before run().
@@ -217,7 +219,8 @@ class System
     std::vector<std::string> auditCoherence() const;
 
   private:
-    /** Every cfg field equal except net.seed, maxTicks, traceSink. */
+    /** Every cfg field equal except net.seed, maxTicks, traceSink and
+     * coverage. */
     bool structurallyCompatible(const SystemConfig &cfg) const;
 
     MultiProgram program_;
@@ -228,7 +231,6 @@ class System
     StatSet stats_;
     ExecutionTrace trace_;
     std::unique_ptr<Interconnect> net_;
-    std::unique_ptr<ConsistencyPolicy> policy_;
     std::vector<std::unique_ptr<Cache>> caches_;
     std::vector<std::unique_ptr<MidCache>> mids_;
     std::vector<std::unique_ptr<UncachedPort>> uncached_ports_;

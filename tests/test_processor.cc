@@ -10,10 +10,6 @@
 #include <deque>
 #include <memory>
 
-#include "consistency/def1_policy.hh"
-#include "consistency/def2_drf0_policy.hh"
-#include "consistency/relaxed_policy.hh"
-#include "consistency/sc_policy.hh"
 #include "cpu/processor.hh"
 #include "cpu/program_builder.hh"
 
@@ -64,7 +60,7 @@ class MockPort : public MemPort
 
 struct Harness
 {
-    Harness(Program prog, const ConsistencyPolicy &pol,
+    Harness(Program prog, PolicyKind pol,
             ProcessorConfig pcfg = {}, Tick commit_lat = 5,
             Tick gp_extra = 0)
         : program(std::move(prog)), port(eq, commit_lat, gp_extra),
@@ -96,7 +92,7 @@ TEST(Processor, ExecutesArithmeticAndBranches)
         .addi(0, 0, static_cast<Word>(-1))
         .bne(0, 0, "loop")
         .halt();
-    ScPolicy pol;
+    PolicyKind pol = PolicyKind::Sc;
     Harness h(b.build(), pol);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[1], 6u);
@@ -106,7 +102,7 @@ TEST(Processor, LoadValueReachesRegisterAndDependents)
 {
     ProgramBuilder b;
     b.load(0, 7).addi(1, 0, 1).storeReg(8, 1).halt();
-    ScPolicy pol;
+    PolicyKind pol = PolicyKind::Sc;
     Harness h(b.build(), pol);
     h.port.mem[7] = 41;
     ASSERT_TRUE(h.run());
@@ -115,11 +111,11 @@ TEST(Processor, LoadValueReachesRegisterAndDependents)
     EXPECT_EQ(h.port.mem[8], 42u);
 }
 
-TEST(Processor, ScPolicySerializesMemoryOps)
+TEST(Processor, ScSerializesMemoryOps)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
-    ScPolicy pol;
+    PolicyKind pol = PolicyKind::Sc;
     Harness h(b.build(), pol, {}, 5, 10); // GP lags commit by 10
     ASSERT_TRUE(h.run());
     // With SC, each store issues only after the previous is GP:
@@ -138,7 +134,7 @@ TEST(Processor, RelaxedOverlapsMemoryOps)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).store(3, 3).halt();
-    RelaxedPolicy pol;
+    PolicyKind pol = PolicyKind::Relaxed;
     Harness h(b.build(), pol, {}, 5, 10);
     ASSERT_TRUE(h.run());
     // Back-to-back issue: commits land 1 cycle apart.
@@ -152,7 +148,7 @@ TEST(Processor, SameAddressAccessesStayOrdered)
     // Even relaxed processors preserve same-address order (condition 1).
     ProgramBuilder b;
     b.store(5, 1).load(0, 5).store(5, 2).halt();
-    RelaxedPolicy pol;
+    PolicyKind pol = PolicyKind::Relaxed;
     Harness h(b.build(), pol, {}, 5, 10);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 1u);
@@ -166,7 +162,7 @@ TEST(Processor, Def1StallsSyncUntilAllGp)
 {
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
-    Def1Policy pol;
+    PolicyKind pol = PolicyKind::Def1;
     Harness h(b.build(), pol, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
@@ -181,7 +177,7 @@ TEST(Processor, Def2WaitsOnlyForSyncCommit)
 {
     ProgramBuilder b;
     b.store(1, 1).unset(9, 1).store(2, 2).halt();
-    Def2Drf0Policy pol;
+    PolicyKind pol = PolicyKind::Def2Drf0;
     Harness h(b.build(), pol, {}, 5, 50);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
@@ -197,7 +193,7 @@ TEST(Processor, WriteBufferForwardsToReads)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 5).halt();
-    RelaxedPolicy pol;
+    PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
     pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
@@ -211,7 +207,7 @@ TEST(Processor, WriteBufferLetsReadsPassWrites)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 6).halt();
-    RelaxedPolicy pol;
+    PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
     pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
@@ -227,7 +223,7 @@ TEST(Processor, SyncDrainsWriteBuffer)
 {
     ProgramBuilder b;
     b.store(5, 9).unset(9, 1).halt();
-    RelaxedPolicy pol;
+    PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
     pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
@@ -243,7 +239,7 @@ TEST(Processor, TraceRecordsKindsAndValues)
 {
     ProgramBuilder b;
     b.store(5, 9).load(0, 5).tas(1, 9).halt();
-    ScPolicy pol;
+    PolicyKind pol = PolicyKind::Sc;
     Harness h(b.build(), pol);
     ASSERT_TRUE(h.run());
     const auto &acc = h.trace.accesses();
@@ -265,10 +261,8 @@ TEST(Processor, StallCyclesAccumulateUnderSc)
 {
     ProgramBuilder b;
     b.store(1, 1).store(2, 2).halt();
-    ScPolicy sc;
-    RelaxedPolicy rel;
-    Harness slow(b.build(), sc, {}, 5, 100);
-    Harness fast(b.build(), rel, {}, 5, 100);
+    Harness slow(b.build(), PolicyKind::Sc, {}, 5, 100);
+    Harness fast(b.build(), PolicyKind::Relaxed, {}, 5, 100);
     ASSERT_TRUE(slow.run());
     ASSERT_TRUE(fast.run());
     EXPECT_GT(slow.proc.stallCycles(), fast.proc.stallCycles() + 50);
@@ -277,7 +271,7 @@ TEST(Processor, StallCyclesAccumulateUnderSc)
 TEST(Processor, EmptyProgramHaltsImmediately)
 {
     Program p;
-    ScPolicy pol;
+    PolicyKind pol = PolicyKind::Sc;
     Harness h(p, pol);
     h.proc.start();
     EXPECT_TRUE(h.proc.halted());

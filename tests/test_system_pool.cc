@@ -17,11 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "litmus/runner.hh"
+#include "obs/coverage.hh"
+#include "obs/trace_sink.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/campaign.hh"
@@ -162,7 +166,7 @@ TEST(SystemLifecycle, IncompatibleResetThrows)
     EXPECT_THROW(sys.reset(net), std::invalid_argument);
     EXPECT_FALSE(sys.compatibleWith(prog, net));
 
-    // Policy changes rebuild too (policy objects are not resettable).
+    // Policy changes rebuild too (caches are built for one policy).
     SystemConfig bus2 = machineOrThrow("bus").config(PolicyKind::Def1, 1);
     EXPECT_THROW(sys.reset(bus2), std::invalid_argument);
 
@@ -174,6 +178,100 @@ TEST(SystemLifecycle, IncompatibleResetThrows)
     EXPECT_NO_THROW(sys.reset(bus3));
     sys.loadProgram(prog);
     EXPECT_TRUE(sys.run());
+}
+
+TEST(SystemLifecycle, EveryStructuralFieldBreaksCompatibility)
+{
+    using Flip = std::pair<const char *, std::function<void(SystemConfig &)>>;
+    const std::vector<Flip> structural = {
+        {"cached", [](SystemConfig &c) { c.cached = !c.cached; }},
+        {"interconnect",
+         [](SystemConfig &c) {
+             c.interconnect = c.interconnect == InterconnectKind::Bus
+                                  ? InterconnectKind::Network
+                                  : InterconnectKind::Bus;
+         }},
+        {"policy", [](SystemConfig &c) { c.policy = PolicyKind::Def1; }},
+        {"protocol", [](SystemConfig &c) { c.protocol = ProtocolKind::Mesi; }},
+        {"cacheLevels", [](SystemConfig &c) { ++c.cacheLevels; }},
+        {"writeBuffer",
+         [](SystemConfig &c) { c.writeBuffer = !c.writeBuffer; }},
+        {"numMemModules", [](SystemConfig &c) { ++c.numMemModules; }},
+        {"numDirs", [](SystemConfig &c) { ++c.numDirs; }},
+        {"bus.latency", [](SystemConfig &c) { ++c.bus.latency; }},
+        {"bus.occupancy", [](SystemConfig &c) { ++c.bus.occupancy; }},
+        {"net.base", [](SystemConfig &c) { ++c.net.base; }},
+        {"net.jitter", [](SystemConfig &c) { ++c.net.jitter; }},
+        {"mem.serviceLatency",
+         [](SystemConfig &c) { ++c.mem.serviceLatency; }},
+        {"dir.protocol",
+         [](SystemConfig &c) { c.dir.protocol = ProtocolKind::Mesi; }},
+        {"dir.latency", [](SystemConfig &c) { ++c.dir.latency; }},
+        {"cache.protocol",
+         [](SystemConfig &c) { c.cache.protocol = ProtocolKind::Mesi; }},
+        {"cache.numSets", [](SystemConfig &c) { ++c.cache.numSets; }},
+        {"cache.ways", [](SystemConfig &c) { ++c.cache.ways; }},
+        {"cache.hitLatency", [](SystemConfig &c) { ++c.cache.hitLatency; }},
+        {"cache.invApplyDelay",
+         [](SystemConfig &c) { ++c.cache.invApplyDelay; }},
+        {"cache.syncReadsAsWrites",
+         [](SystemConfig &c) {
+             c.cache.syncReadsAsWrites = !c.cache.syncReadsAsWrites;
+         }},
+        {"cache.useReserveBits",
+         [](SystemConfig &c) {
+             c.cache.useReserveBits = !c.cache.useReserveBits;
+         }},
+        {"cache.maxMissesWhileReserved",
+         [](SystemConfig &c) { ++c.cache.maxMissesWhileReserved; }},
+        {"cache.epochReserveClearing",
+         [](SystemConfig &c) {
+             c.cache.epochReserveClearing = !c.cache.epochReserveClearing;
+         }},
+        {"l2.protocol",
+         [](SystemConfig &c) { c.l2.protocol = ProtocolKind::Mesi; }},
+        {"l2.numSets", [](SystemConfig &c) { ++c.l2.numSets; }},
+        {"l2.ways", [](SystemConfig &c) { ++c.l2.ways; }},
+        {"l2.latency", [](SystemConfig &c) { ++c.l2.latency; }},
+        {"proc.useWriteBuffer",
+         [](SystemConfig &c) {
+             c.proc.useWriteBuffer = !c.proc.useWriteBuffer;
+         }},
+        {"proc.wbDrainDelay", [](SystemConfig &c) { ++c.proc.wbDrainDelay; }},
+        {"proc.maxOutstanding",
+         [](SystemConfig &c) { ++c.proc.maxOutstanding; }},
+        {"proc.cycle", [](SystemConfig &c) { ++c.proc.cycle; }},
+        {"warmCaches", [](SystemConfig &c) { c.warmCaches = !c.warmCaches; }},
+    };
+    TraceBuffer sink;
+    CoverageMap cov;
+    const std::vector<Flip> runVarying = {
+        {"net.seed", [](SystemConfig &c) { c.net.seed += 7; }},
+        {"maxTicks", [](SystemConfig &c) { c.maxTicks *= 2; }},
+        {"traceSink", [&](SystemConfig &c) { c.traceSink = &sink; }},
+        {"coverage", [&](SystemConfig &c) { c.coverage = &cov; }},
+    };
+
+    MultiProgram prog = randomDrf0Program(workload(4));
+    SystemConfig base = machineOrThrow("bus").config(PolicyKind::Sc, 1);
+    // The enum flips below move Sc/Msi to another value.
+    ASSERT_EQ(base.policy, PolicyKind::Sc);
+    ASSERT_EQ(base.protocol, ProtocolKind::Msi);
+    System sys(prog, base);
+    ASSERT_TRUE(sys.compatibleWith(prog, base));
+    for (const auto &[field, flip] : structural) {
+        SystemConfig cfg = base;
+        flip(cfg);
+        EXPECT_FALSE(sys.compatibleWith(prog, cfg)) << field;
+    }
+    SystemConfig all = base;
+    for (const auto &[field, flip] : runVarying) {
+        SystemConfig cfg = base;
+        flip(cfg);
+        flip(all);
+        EXPECT_TRUE(sys.compatibleWith(prog, cfg)) << field;
+    }
+    EXPECT_TRUE(sys.compatibleWith(prog, all));
 }
 
 TEST(SystemLifecycle, ProcessorCountMismatchThrows)

@@ -39,7 +39,7 @@
  *                    STEM.<test>.<policy>.<machine>.s<seed>.json
  *                    (env fallback: WO_TRACE_FILE)
  *   --trace-filter=LIST  comma list of components to trace: proc,cache,
- *                    dir,net,mem,port,log or "all"
+ *                    dir,net,mem,port or "all"
  *                    (env fallback: WO_TRACE_FILTER)
  *
  * Tracing never changes the text/JSON reports: each job records into a
@@ -90,18 +90,10 @@ parsePolicies(const std::string &list, std::vector<PolicyKind> &out)
     std::istringstream in(list);
     std::string item;
     while (std::getline(in, item, ',')) {
-        if (item == "sc")
-            out.push_back(PolicyKind::Sc);
-        else if (item == "def1")
-            out.push_back(PolicyKind::Def1);
-        else if (item == "def2drf0")
-            out.push_back(PolicyKind::Def2Drf0);
-        else if (item == "def2drf1")
-            out.push_back(PolicyKind::Def2Drf1);
-        else if (item == "relaxed")
-            out.push_back(PolicyKind::Relaxed);
-        else
+        PolicyKind kind;
+        if (!parsePolicyName(item, &kind))
             return false;
+        out.push_back(kind);
     }
     return !out.empty();
 }

@@ -95,24 +95,6 @@ numericFlag(const std::string &arg, T &out, T lo = 0)
     return true;
 }
 
-bool
-parsePolicy(const std::string &name, PolicyKind &out)
-{
-    if (name == "sc")
-        out = PolicyKind::Sc;
-    else if (name == "def1")
-        out = PolicyKind::Def1;
-    else if (name == "def2drf0")
-        out = PolicyKind::Def2Drf0;
-    else if (name == "def2drf1")
-        out = PolicyKind::Def2Drf1;
-    else if (name == "relaxed")
-        out = PolicyKind::Relaxed;
-    else
-        return false;
-    return true;
-}
-
 void
 printRaces(std::ostream &os, const std::vector<Race> &races)
 {
@@ -317,7 +299,7 @@ cmdSim(const std::vector<std::string> &args)
         if (arg.rfind("--machine=", 0) == 0)
             opt.machine = arg.substr(10);
         else if (arg.rfind("--policy=", 0) == 0) {
-            if (!parsePolicy(arg.substr(9), opt.policy)) {
+            if (!parsePolicyName(arg.substr(9), &opt.policy)) {
                 std::cerr << "wo-replay: bad --policy '" << arg.substr(9)
                           << "'\n";
                 return 2;

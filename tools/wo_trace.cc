@@ -12,7 +12,7 @@
  *   --seed=S             network-jitter seed                  [1]
  *   --out=FILE           Chrome-trace JSON output  [<test>.trace.json]
  *   --trace-filter=LIST  components to trace: proc,cache,dir,net,mem,
- *                        port,log or "all"                    [all]
+ *                        port or "all"                        [all]
  *   --text               also print the compact text timeline
  *
  * The JSON file loads in chrome://tracing or https://ui.perfetto.dev:
@@ -53,24 +53,6 @@ usage(std::ostream &os)
     return 2;
 }
 
-bool
-parsePolicy(const std::string &name, PolicyKind *out)
-{
-    if (name == "sc")
-        *out = PolicyKind::Sc;
-    else if (name == "def1")
-        *out = PolicyKind::Def1;
-    else if (name == "def2drf0")
-        *out = PolicyKind::Def2Drf0;
-    else if (name == "def2drf1")
-        *out = PolicyKind::Def2Drf1;
-    else if (name == "relaxed")
-        *out = PolicyKind::Relaxed;
-    else
-        return false;
-    return true;
-}
-
 /** "dekker.litmus" -> "dekker" (directories stripped). */
 std::string
 stemOf(const std::string &path)
@@ -100,7 +82,7 @@ main(int argc, char **argv)
         if (arg.rfind("--machine=", 0) == 0) {
             machine = arg.substr(10);
         } else if (arg.rfind("--policy=", 0) == 0) {
-            if (!parsePolicy(arg.substr(9), &policy)) {
+            if (!parsePolicyName(arg.substr(9), &policy)) {
                 std::cerr << "wo-trace: unknown policy '" << arg.substr(9)
                           << "'\n";
                 return 2;

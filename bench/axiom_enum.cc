@@ -13,7 +13,8 @@
  * candidates. The naive mode is capped; its considered-candidate count
  * is then a lower bound, so the reported pruning ratio is conservative.
  *
- * JSON (default BENCH_axiom_enum.json):
+ * JSON (to --json=FILE, else BENCH_axiom_enum.json on a full run and
+ * nothing on a --quick run):
  *   per test:  axiom.<test>.pruned_ns / pruned_considered /
  *              naive_ns / naive_considered / naive_capped
  *   corpus:    axiom.corpus_ns (pruned, all tests, best-of-N),
@@ -79,7 +80,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    std::string json_file = "BENCH_axiom_enum.json";
+    std::string json_file;
     std::string corpus_dir = "tests/litmus";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -213,6 +214,9 @@ main(int argc, char **argv)
               << std::setprecision(1) << ratio << "x fewer candidates, "
               << time_ratio << "x faster (naive capped)\n";
 
+    json_file = benchutil::recordFile(json_file, "axiom_enum", quick);
+    if (json_file.empty())
+        return 0;
     std::ofstream out(json_file);
     if (!out) {
         std::cerr << "axiom_enum: cannot write " << json_file << "\n";

@@ -39,9 +39,25 @@ struct BenchOptions
     bool quick = false;
 
     /** --json=FILE: where to dump the bench StatSet; empty = no dump
-     * (benches with a committed BENCH_*.json default it themselves). */
+     * (benches with a committed record default it through
+     * recordFile). */
     std::string jsonFile;
 };
+
+/**
+ * The file a bench with a committed record writes its JSON to:
+ * --json=FILE when given; otherwise BENCH_<bench>.json for a full run
+ * and none (empty) for a --quick run, so a smoke run from the
+ * repository root never overwrites the committed full-run record.
+ */
+inline std::string
+recordFile(const std::string &json_file, const std::string &bench,
+           bool quick)
+{
+    if (!json_file.empty())
+        return json_file;
+    return quick ? std::string() : "BENCH_" + bench + ".json";
+}
 
 /**
  * Strip the flags every bench understands (--threads=N / --threads N,

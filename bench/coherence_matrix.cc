@@ -25,9 +25,10 @@
  * each cell's finish-tick delta against the same-level MSI baseline
  * (negative = faster than MSI).
  *
- * Default JSON file: BENCH_coherence_matrix.json (the committed
- * artifact); --quick shrinks seeds/reps for CI smoke runs with the
- * identical schema.
+ * JSON goes to --json=FILE, else BENCH_coherence_matrix.json (the
+ * committed artifact) on a full run; --quick shrinks seeds/reps for CI
+ * smoke runs with the identical schema and writes JSON only when given
+ * --json.
  */
 
 #include <chrono>
@@ -260,9 +261,10 @@ run()
     }
     table.print();
 
-    benchutil::dumpJsonFile(
-        out, g_opts.jsonFile.empty() ? "BENCH_coherence_matrix.json"
-                                     : g_opts.jsonFile);
+    const std::string file = benchutil::recordFile(
+        g_opts.jsonFile, "coherence_matrix", g_opts.quick);
+    if (!file.empty())
+        benchutil::dumpJsonFile(out, file);
     return 0;
 }
 

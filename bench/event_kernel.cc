@@ -20,9 +20,10 @@
  *     case; expected near parity).
  *
  * All timings are best-of-N std::chrono::steady_clock measurements;
- * results are printed as a table and dumped as JSON (default file:
- * BENCH_event_kernel.json). --quick shrinks the event counts and
- * repetitions for CI smoke runs; the JSON schema is identical.
+ * results are printed as a table and dumped as JSON (to --json=FILE,
+ * else BENCH_event_kernel.json on a full run). --quick shrinks the event
+ * counts and repetitions for CI smoke runs and writes JSON only when
+ * given --json; the JSON schema is identical.
  */
 
 #include <chrono>
@@ -184,7 +185,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    std::string json_file = "BENCH_event_kernel.json";
+    std::string json_file;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
@@ -261,14 +262,18 @@ main(int argc, char **argv)
     std::cout << "\n(identical fired-event checksums verified before "
                  "timing; speedup = legacy / pooled wall time)\n";
 
-    std::ofstream out(json_file);
-    if (!out) {
-        std::cerr << "event_kernel: cannot write " << json_file << "\n";
-        return 2;
+    json_file = benchutil::recordFile(json_file, "event_kernel", quick);
+    if (!json_file.empty()) {
+        std::ofstream out(json_file);
+        if (!out) {
+            std::cerr << "event_kernel: cannot write " << json_file
+                      << "\n";
+            return 2;
+        }
+        stats.dumpJson(out);
+        out << "\n";
+        std::cout << "\njson written to " << json_file << "\n";
     }
-    stats.dumpJson(out);
-    out << "\n";
-    std::cout << "\njson written to " << json_file << "\n";
     if (!all_ok) {
         std::cerr << "event_kernel: steady-churn speedup below the 1.5x "
                      "target\n";

@@ -6,7 +6,8 @@
  *   $ race_detect [--quick] [--json=FILE] [--corpus=DIR] [--no-corpus]
  *
  * Three sections, each printed as a table and recorded in a StatSet that
- * is dumped as JSON (default file: BENCH_race_detect.json):
+ * is dumped as JSON (to --json=FILE, else BENCH_race_detect.json on a
+ * full run):
  *
  *  1. per-trace checking on synthetic traces of 100..10k accesses,
  *     race-free and racy, the checkTraceBitset() oracle (tests/oracle)
@@ -22,8 +23,9 @@
  *     the runner's Drf0Memo vs checkProgramSampled() directly.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
- * --quick shrinks repetitions and corpus seeds for CI smoke runs; the
- * measured shape (and the JSON schema) is identical. The JSON carries
+ * --quick shrinks repetitions and corpus seeds for CI smoke runs and
+ * writes JSON only when given --json; the measured shape (and the JSON
+ * schema) is identical. The JSON carries
  * the bench_util provenance envelope (commit, build type, machine,
  * quick, reps).
  */
@@ -398,7 +400,7 @@ main(int argc, char **argv)
 {
     bool quick = false;
     bool corpus = true;
-    std::string json_file = "BENCH_race_detect.json";
+    std::string json_file;
     std::string corpus_dir = "tests/litmus";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -428,6 +430,9 @@ main(int argc, char **argv)
                   << corpus_dir << ")\n";
     }
 
+    json_file = benchutil::recordFile(json_file, "race_detect", quick);
+    if (json_file.empty())
+        return 0;
     // reps: the per-trace section's best-of count; the other sections
     // print their own.
     return benchutil::dumpEnvelopeJson(stats, json_file, "race_detect",

@@ -8,8 +8,8 @@
  *
  * Two sections, each printed as a table and recorded in a StatSet
  * dumped as JSON inside the provenance envelope (commit, build type,
- * machine, --quick, repetitions; default file: BENCH_system_pool.json,
- * run from the repository root):
+ * machine, --quick, repetitions; to --json=FILE, else
+ * BENCH_system_pool.json on a full run from the repository root):
  *
  *  1. the litmus-corpus job fan — every (test, machine, policy, seed)
  *     simulation job run twice, once constructing a fresh System per
@@ -24,8 +24,9 @@
  * bytes.
  *
  * All timings are best-of-N std::chrono::steady_clock measurements.
- * --quick shrinks seeds and repetitions for CI smoke runs; the measured
- * shape (and the JSON schema) is identical.
+ * --quick shrinks seeds and repetitions for CI smoke runs and writes
+ * JSON only when given --json; the measured shape (and the JSON schema)
+ * is identical.
  */
 
 #include <chrono>
@@ -308,8 +309,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (g_opts.jsonFile.empty())
-        g_opts.jsonFile = "BENCH_system_pool.json";
     if (!std::filesystem::is_directory(corpus_dir)) {
         std::cerr << "system_pool: no corpus directory " << corpus_dir
                   << "\n";
@@ -326,7 +325,11 @@ main(int argc, char **argv)
     benchJobFan(stats, tests);
     benchResetMicro(stats, tests);
 
-    return benchutil::dumpEnvelopeJson(stats, g_opts.jsonFile, "system_pool",
+    const std::string file =
+        benchutil::recordFile(g_opts.jsonFile, "system_pool", g_opts.quick);
+    if (file.empty())
+        return 0;
+    return benchutil::dumpEnvelopeJson(stats, file, "system_pool",
                                        g_opts.quick, reps())
                ? 0
                : 2;

@@ -30,10 +30,11 @@
  * rounds of the coverage pass's overhead against its round's off pass,
  * which cancels external load that varies on the timescale of a whole
  * pass. The table rows show each mode's fastest pass. Results print as
- * a table and dump as JSON (default file: BENCH_trace_overhead.json)
- * with the commit, build type, host and round count; --quick shrinks
- * the run count for CI smoke runs with an identical JSON schema. Run
- * from the repository root so the commit resolves.
+ * a table and dump as JSON (to --json=FILE, else
+ * BENCH_trace_overhead.json on a full run) with the commit, build type,
+ * host and round count; --quick shrinks the run count for CI smoke runs
+ * with an identical JSON schema and writes JSON only when given --json.
+ * Run from the repository root so the commit resolves.
  */
 
 #include <algorithm>
@@ -117,7 +118,7 @@ main(int argc, char **argv)
 {
     int runs = 600;
     bool quick = false;
-    std::string json_file = "BENCH_trace_overhead.json";
+    std::string json_file;
     double gate_pct = -1.0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -232,32 +233,39 @@ main(int argc, char **argv)
     std::printf("  coverage cost:     %.1f%%\n", coverage_pct);
     std::printf("  per-run-map cost:  %.1f%%\n", per_run_map_pct);
 
-    std::ofstream out(json_file);
-    if (!out) {
-        std::cerr << "trace_overhead: cannot write " << json_file << "\n";
-        return 2;
+    json_file = benchutil::recordFile(json_file, "trace_overhead", quick);
+    if (!json_file.empty()) {
+        std::ofstream out(json_file);
+        if (!out) {
+            std::cerr << "trace_overhead: cannot write " << json_file
+                      << "\n";
+            return 2;
+        }
+        auto pct = [](double v) {
+            return static_cast<std::int64_t>(v * 10) / 10.0;
+        };
+        auto sample = [](const Sample &x) {
+            return "{\"events\": " + std::to_string(x.events) +
+                   ", \"events_per_sec\": " +
+                   std::to_string(
+                       static_cast<std::uint64_t>(x.eventsPerSec())) +
+                   "}";
+        };
+        benchutil::writeEnvelopeHead(out, "trace_overhead", quick, reps);
+        out << "  \"runs\": " << runs << ",\n"
+            << "  \"off\": " << sample(off) << ",\n"
+            << "  \"coverage\": " << sample(cov) << ",\n"
+            << "  \"coverage_per_run_map\": " << sample(per_run) << ",\n"
+            << "  \"on\": " << sample(on) << ",\n"
+            << "  \"enabled_overhead_pct\": " << pct(overhead_pct)
+            << ",\n"
+            << "  \"coverage_overhead_pct\": " << pct(coverage_pct)
+            << ",\n"
+            << "  \"coverage_per_run_map_overhead_pct\": "
+            << pct(per_run_map_pct) << "\n"
+            << "}\n";
+        std::printf("json written to %s\n", json_file.c_str());
     }
-    auto pct = [](double v) {
-        return static_cast<std::int64_t>(v * 10) / 10.0;
-    };
-    auto sample = [](const Sample &x) {
-        return "{\"events\": " + std::to_string(x.events) +
-               ", \"events_per_sec\": " +
-               std::to_string(static_cast<std::uint64_t>(x.eventsPerSec())) +
-               "}";
-    };
-    benchutil::writeEnvelopeHead(out, "trace_overhead", quick, reps);
-    out << "  \"runs\": " << runs << ",\n"
-        << "  \"off\": " << sample(off) << ",\n"
-        << "  \"coverage\": " << sample(cov) << ",\n"
-        << "  \"coverage_per_run_map\": " << sample(per_run) << ",\n"
-        << "  \"on\": " << sample(on) << ",\n"
-        << "  \"enabled_overhead_pct\": " << pct(overhead_pct) << ",\n"
-        << "  \"coverage_overhead_pct\": " << pct(coverage_pct) << ",\n"
-        << "  \"coverage_per_run_map_overhead_pct\": "
-        << pct(per_run_map_pct) << "\n"
-        << "}\n";
-    std::printf("json written to %s\n", json_file.c_str());
 
     if (gate_pct >= 0 && coverage_pct > gate_pct) {
         std::fprintf(stderr,

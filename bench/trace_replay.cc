@@ -6,7 +6,8 @@
  *   $ trace_replay [--quick] [--json=FILE]
  *
  * Three sections, each printed as a table and recorded in a StatSet that
- * is dumped as JSON (default file: BENCH_trace_replay.json):
+ * is dumped as JSON (to --json=FILE, else BENCH_trace_replay.json on a
+ * full run):
  *
  *  1. windowed-vs-whole-trace differential at small sizes: the streaming
  *     checker's verdict and race set against the resident bitset oracle
@@ -21,7 +22,8 @@
  *
  * Timings are std::chrono::steady_clock wall time of the replay phase
  * only (trace generation writes to a temp file beforehand). --quick
- * shrinks trace sizes for CI smoke runs; the JSON schema is identical.
+ * shrinks trace sizes for CI smoke runs and writes JSON only when given
+ * --json; the JSON schema is identical.
  */
 
 #include <chrono>
@@ -346,7 +348,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    std::string json_file = "BENCH_trace_replay.json";
+    std::string json_file;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--quick") {
@@ -367,6 +369,9 @@ main(int argc, char **argv)
     benchThroughput(stats, quick);
     benchSystemReplay(stats, quick);
 
+    json_file = benchutil::recordFile(json_file, "trace_replay", quick);
+    if (json_file.empty())
+        return 0;
     std::ofstream out(json_file);
     if (!out) {
         std::cerr << "trace_replay: cannot write " << json_file << "\n";

@@ -16,7 +16,7 @@
 #include <string_view>
 
 #include "core/sc_verifier.hh"
-#include "sim/decimal.hh"
+#include "sim/cli_parse.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 #include "workload/litmus.hh"

@@ -9,6 +9,9 @@ namespace axiom {
 
 namespace {
 
+/** Max per-processor path combinations. */
+constexpr std::uint64_t kMaxCombos = 200000;
+
 /** One full enumeration run (combo -> rf -> co -> visit). */
 struct CandEnum
 {
@@ -33,7 +36,7 @@ struct CandEnum
 
     bool run()
     {
-        PathSet ps = enumeratePaths(program, limits.paths);
+        PathSet ps = enumeratePaths(program);
         stats.pathsEmitted = ps.pathsEmitted;
         stats.stutterPruned = ps.stutterPruned;
         stats.valueRounds = ps.valueRounds;
@@ -48,7 +51,7 @@ struct CandEnum
         std::vector<std::size_t> choice(n, 0);
         for (;;) {
             ++stats.combos;
-            if (stats.combos > limits.maxCombos) {
+            if (stats.combos > kMaxCombos) {
                 capped = true;
                 break;
             }

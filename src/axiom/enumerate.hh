@@ -44,11 +44,6 @@ namespace axiom {
 /** Caps and mode switches for candidate enumeration. */
 struct AxiomLimits
 {
-    PathLimits paths;
-
-    /** Max per-processor path combinations. */
-    std::uint64_t maxCombos = 200000;
-
     /** Max complete (rf, co) assignments considered. */
     std::uint64_t maxCandidates = 5000000;
 

@@ -8,12 +8,24 @@ namespace axiom {
 
 namespace {
 
+/** Max events (accesses + fences) along one path. */
+constexpr int kMaxEventsPerPath = 48;
+
+/** Max instructions interpreted along one path. */
+constexpr int kMaxStepsPerPath = 512;
+
+/** Max complete paths kept per processor. */
+constexpr int kMaxPathsPerProc = 512;
+
+/** Hard cap on value-fixpoint rounds (the grounded-depth bound
+ * normally stops it much earlier). */
+constexpr int kMaxValueRounds = 64;
+
 /** Shared per-round enumeration state for one processor. */
 struct ProcEnum
 {
     const Program &prog;
     const std::map<Addr, std::set<Word>> &values;
-    const PathLimits &limits;
 
     std::vector<LocalPath> paths;
     std::vector<AxEvent> events;
@@ -40,8 +52,8 @@ struct ProcEnum
     std::map<std::vector<Word>, int> onPath;
 
     ProcEnum(const Program &pr, int num_regs,
-             const std::map<Addr, std::set<Word>> &v, const PathLimits &l)
-        : prog(pr), values(v), limits(l)
+             const std::map<Addr, std::set<Word>> &v)
+        : prog(pr), values(v)
     {
         regs.assign(num_regs, 0);
     }
@@ -57,7 +69,7 @@ struct ProcEnum
 
     void emit()
     {
-        if (static_cast<int>(paths.size()) >= limits.maxPathsPerProc) {
+        if (static_cast<int>(paths.size()) >= kMaxPathsPerProc) {
             capped = true;
             return;
         }
@@ -85,8 +97,8 @@ struct ProcEnum
             emit();
             return;
         }
-        if (steps >= limits.maxStepsPerPath ||
-            static_cast<int>(events.size()) >= limits.maxEventsPerPath) {
+        if (steps >= kMaxStepsPerPath ||
+            static_cast<int>(events.size()) >= kMaxEventsPerPath) {
             capped = true;
             return;
         }
@@ -221,7 +233,7 @@ struct ProcEnum
 } // namespace
 
 PathSet
-enumeratePaths(const MultiProgram &program, const PathLimits &limits)
+enumeratePaths(const MultiProgram &program)
 {
     PathSet out;
     int n = program.numProcs();
@@ -259,7 +271,7 @@ enumeratePaths(const MultiProgram &program, const PathLimits &limits)
                 procMaxWrites[p] = procMaxWrites[sameAs[p]];
             } else {
                 ProcEnum e(program.program(p), program.numRegisters(),
-                           out.values, limits);
+                           out.values);
                 e.run(0, 0);
                 if (e.capped)
                     out.complete = false;
@@ -281,7 +293,7 @@ enumeratePaths(const MultiProgram &program, const PathLimits &limits)
         if (!grew)
             break;
         out.values = std::move(next);
-        if (round + 1 >= limits.maxValueRounds) {
+        if (round + 1 >= kMaxValueRounds) {
             out.complete = false;
             break;
         }

@@ -45,23 +45,6 @@
 namespace wo {
 namespace axiom {
 
-/** Caps on path enumeration. */
-struct PathLimits
-{
-    /** Max events (accesses + fences) along one path. */
-    int maxEventsPerPath = 48;
-
-    /** Max instructions interpreted along one path. */
-    int maxStepsPerPath = 512;
-
-    /** Max complete paths kept per processor. */
-    int maxPathsPerProc = 512;
-
-    /** Hard cap on value-fixpoint rounds (the grounded-depth bound
-     * normally stops it much earlier). */
-    int maxValueRounds = 64;
-};
-
 /** One complete (halting) local execution of one processor. */
 struct LocalPath
 {
@@ -93,8 +76,7 @@ struct PathSet
 };
 
 /** Enumerate every processor's stutter-free halting paths. */
-PathSet enumeratePaths(const MultiProgram &program,
-                       const PathLimits &limits = {});
+PathSet enumeratePaths(const MultiProgram &program);
 
 } // namespace axiom
 } // namespace wo

@@ -7,12 +7,17 @@
 
 namespace wo {
 
+/** Latency of a cache hit (commit delay). */
+constexpr Tick kHitLatency = 1;
+
 Cache::Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
-             NodeId dir_base, int num_dirs, const CacheConfig &cfg,
-             std::string name)
+             NodeId dir_base, int num_dirs, ProtocolKind protocol,
+             PolicyKind policy, const CacheConfig &cfg, std::string name)
     : eq_(eq), net_(net), stats_(stats), node_(node), dir_base_(dir_base),
       num_dirs_(num_dirs), cfg_(cfg),
-      proto_(&CoherenceProtocol::get(cfg.protocol)), name_(std::move(name))
+      proto_(&CoherenceProtocol::get(protocol)),
+      sync_reads_as_writes_(syncReadsAsWrites(policy)),
+      use_reserve_bits_(useReserveBits(policy)), name_(std::move(name))
 {
     stat_.hits = stats_.handle(name_ + ".hits");
     stat_.misses = stats_.handle(name_ + ".misses");
@@ -74,7 +79,7 @@ Cache::treatedAsWrite(AccessKind k) const
       case AccessKind::SyncRmw:
         return true;
       case AccessKind::SyncRead:
-        return cfg_.syncReadsAsWrites;
+        return sync_reads_as_writes_;
       case AccessKind::DataRead:
         return false;
     }
@@ -90,7 +95,7 @@ Cache::ordersViaReserve(AccessKind k) const
     // be used to order a processor's previous accesses, so it does not
     // reserve the line.
     if (k == AccessKind::SyncRead)
-        return cfg_.syncReadsAsWrites;
+        return sync_reads_as_writes_;
     return true;
 }
 
@@ -212,7 +217,7 @@ Cache::commitOnLine(const CacheOp &op, Line &line, bool gp_now, Tick delay)
     Word read_value = line.data;
     if (writesMemory(op.kind))
         line.data = op.writeValue;
-    if (cfg_.useReserveBits && ordersViaReserve(op.kind) && counter_ > 0) {
+    if (use_reserve_bits_ && ordersViaReserve(op.kind) && counter_ > 0) {
         // The reserve covers exactly the accesses outstanding at this
         // synchronization's commit: misses numbered below next_miss_seq_.
         if (!line.reserved) {
@@ -270,7 +275,7 @@ Cache::access(const CacheOp &op)
         if (sink_)
             emitEvent(TraceKind::Hit, op.addr);
         bool gp_now = as_write ? !l->pendingGp : true;
-        commitOnLine(op, *l, gp_now, cfg_.hitLatency);
+        commitOnLine(op, *l, gp_now, kHitLatency);
         return;
     }
 

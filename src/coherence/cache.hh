@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "coherence/protocol.hh"
+#include "consistency/policy.hh"
 #include "cpu/isa.hh"
 #include "cpu/mem_port.hh"
 #include "mem/interconnect.hh"
@@ -51,29 +52,15 @@ class TraceSink;
 /** Configuration of one cache. */
 struct CacheConfig
 {
-    /** Coherence protocol (selects the transition table). */
-    ProtocolKind protocol = ProtocolKind::Msi;
-
     /** Number of sets; 0 models an unbounded cache (no evictions). */
     int numSets = 0;
 
     /** Associativity (used when numSets > 0). */
     int ways = 4;
 
-    /** Latency of a cache hit (commit delay). */
-    Tick hitLatency = 1;
-
     /** Extra delay before acknowledging an invalidation; models how long
      * a remote write takes to be globally performed (Figure 3 sweeps). */
     Tick invApplyDelay = 0;
-
-    /** Treat read-only synchronization (Test) as a write at the coherence
-     * level (true = the DRF0 example implementation of Section 5; false =
-     * the Section 6 refinement). */
-    bool syncReadsAsWrites = true;
-
-    /** Enable the reserve-bit mechanism (condition 5). */
-    bool useReserveBits = true;
 
     /** Max misses sent to memory while any line is reserved
      * (-1 = unlimited). */
@@ -110,10 +97,14 @@ class Cache : public MemPort
      * @param node      this cache's interconnect node id
      * @param dir_base  node id of directory bank 0
      * @param num_dirs  number of directory banks (addr mod num_dirs)
+     * @param protocol  coherence protocol (selects the transition table)
+     * @param policy    consistency model; fixes whether a Test is a write
+     *                  (Section 5) or a read (the Section 6 refinement)
+     *                  and whether reserve bits (condition 5) are used
      */
     Cache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
-          NodeId dir_base, int num_dirs, const CacheConfig &cfg,
-          std::string name);
+          NodeId dir_base, int num_dirs, ProtocolKind protocol,
+          PolicyKind policy, const CacheConfig &cfg, std::string name);
 
     /** Register the processor-side client. */
     void setPortClient(CacheClient *c) override { client_ = c; }
@@ -164,9 +155,6 @@ class Cache : public MemPort
      * hit/miss, counter, reserve-bit, invalidation and recall events;
      * the disabled path costs one null test per potential event. */
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
-
-    /** The protocol transition table this cache runs. */
-    const CoherenceProtocol &protocol() const { return *proto_; }
 
   private:
     struct Line
@@ -244,6 +232,8 @@ class Cache : public MemPort
     int num_dirs_;
     CacheConfig cfg_;
     const CoherenceProtocol *proto_;
+    bool sync_reads_as_writes_; ///< Test is a write (Section 5), not a read
+    bool use_reserve_bits_;     ///< reserve bits (condition 5) in use
     std::string name_;
     CacheClient *client_ = nullptr;
 

@@ -6,11 +6,13 @@
 
 namespace wo {
 
+/** Processing latency per incoming message. */
+constexpr Tick kLatency = 2;
+
 Directory::Directory(EventQueue &eq, Interconnect &net, StatSet &stats,
-                     NodeId node, const DirectoryConfig &cfg,
-                     std::string name)
-    : eq_(eq), net_(net), stats_(stats), node_(node), cfg_(cfg),
-      proto_(&CoherenceProtocol::get(cfg.protocol)), name_(std::move(name))
+                     NodeId node, ProtocolKind protocol, std::string name)
+    : eq_(eq), net_(net), stats_(stats), node_(node),
+      proto_(&CoherenceProtocol::get(protocol)), name_(std::move(name))
 {
     stat_.requests = stats_.handle(name_ + ".requests");
     stat_.queued = stats_.handle(name_ + ".queued");
@@ -139,7 +141,7 @@ Directory::handle(const Msg &msg)
     // Model the directory's processing latency; fixed delay preserves
     // arrival order.
     Msg m = msg;
-    eq_.scheduleAfter(cfg_.latency, [this, m] { process(m); });
+    eq_.scheduleAfter(kLatency, [this, m] { process(m); });
 }
 
 void

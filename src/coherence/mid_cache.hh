@@ -44,17 +44,11 @@ class TraceSink;
 /** Configuration of one mid-level cache. */
 struct MidCacheConfig
 {
-    /** Coherence protocol (must match the L1s and the directory). */
-    ProtocolKind protocol = ProtocolKind::Msi;
-
     /** Number of sets; 0 models an unbounded L2 (no evictions). */
     int numSets = 0;
 
     /** Associativity (used when numSets > 0). */
     int ways = 8;
-
-    /** Processing latency per incoming message. */
-    Tick latency = 1;
 
     bool operator==(const MidCacheConfig &) const = default;
 };
@@ -68,10 +62,13 @@ class MidCache
      * @param inner     node id of the L1 this L2 is private to
      * @param dir_base  node id of directory bank 0
      * @param num_dirs  number of directory banks (addr mod num_dirs)
+     * @param protocol  coherence protocol (must match the L1s and the
+     *                  directory)
      */
     MidCache(EventQueue &eq, Interconnect &net, StatSet &stats, NodeId node,
              NodeId inner, NodeId dir_base, int num_dirs,
-             const MidCacheConfig &cfg, std::string name);
+             ProtocolKind protocol, const MidCacheConfig &cfg,
+             std::string name);
 
     /** Incoming message handler (attached to the interconnect). */
     void handle(const Msg &msg);
@@ -92,9 +89,6 @@ class MidCache
 
     /** Attach a structured trace sink (nullptr detaches). */
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
-
-    /** The protocol transition table this L2 runs. */
-    const CoherenceProtocol &protocol() const { return *proto_; }
 
   private:
     /** What the inner L1 holds (exact for E/M/O, stale-superset for S). */

@@ -2,9 +2,7 @@
 
 #include "obs/coverage.hh"
 
-#include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <stdexcept>
 
 namespace wo {
@@ -50,22 +48,17 @@ toString(ProtocolKind k)
     return "?";
 }
 
-ProtocolKind
-parseProtocol(const std::string &name)
+bool
+parseProtocolName(const std::string &name, ProtocolKind *out)
 {
-    std::string n = name;
-    std::transform(n.begin(), n.end(), n.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (n == "msi")
-        return ProtocolKind::Msi;
-    if (n == "mesi")
-        return ProtocolKind::Mesi;
-    if (n == "moesi")
-        return ProtocolKind::Moesi;
-    if (n == "mesif")
-        return ProtocolKind::Mesif;
-    throw std::runtime_error("unknown protocol '" + name +
-                             "' (known: msi, mesi, moesi, mesif)");
+    for (int k = 0; k < kNumProtocolKinds; ++k) {
+        ProtocolKind kind = static_cast<ProtocolKind>(k);
+        if (name == toString(kind)) {
+            *out = kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 const char *

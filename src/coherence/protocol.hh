@@ -65,9 +65,11 @@ inline constexpr int kNumProtocolKinds = 4;
 
 const char *toString(ProtocolKind k);
 
-/** Parse "msi" / "mesi" / "moesi" / "mesif" (case-insensitive); throws
- * std::runtime_error naming the known protocols. */
-ProtocolKind parseProtocol(const std::string &name);
+/**
+ * Name as toString prints it ("msi", "mesi", "moesi", "mesif") to kind.
+ * Returns false, leaving @p out alone, for any other text.
+ */
+bool parseProtocolName(const std::string &name, ProtocolKind *out);
 
 /**
  * Events applied to a line's protocol state.

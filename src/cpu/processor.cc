@@ -22,14 +22,21 @@ accessKindTag(AccessKind k)
     return "?";
 }
 
+/** Max memory ops issued to the port and not yet committed. */
+constexpr int kMaxOutstanding = 8;
+
+/** Cycle time: one instruction dispatched per cycle. */
+constexpr Tick kCycle = 1;
+
 } // namespace
 
 Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
                      const Program &program, MemPort &port,
-                     PolicyKind policy, ExecutionTrace *trace,
-                     const ProcessorConfig &cfg)
+                     PolicyKind policy, bool write_buffer,
+                     ExecutionTrace *trace, const ProcessorConfig &cfg)
     : eq_(eq), stats_(stats), id_(id), program_(&program), port_(port),
-      policy_(policy), trace_(trace), cfg_(cfg),
+      policy_(policy), use_write_buffer_(write_buffer), trace_(trace),
+      cfg_(cfg),
       name_("proc" + std::to_string(id)),
       lat_gp_(stats, "proc" + std::to_string(id) + ".lat_issue_gp")
 {
@@ -41,7 +48,7 @@ Processor::Processor(EventQueue &eq, StatSet &stats, ProcId id,
     int nregs = std::max(program.maxRegister() + 1, 1);
     regs_.assign(nregs, 0);
     reg_busy_.assign(nregs, false);
-    assert((!cfg_.useWriteBuffer || allowWriteBuffer(policy_)) &&
+    assert((!use_write_buffer_ || allowWriteBuffer(policy_)) &&
            "write buffer is illegal under this consistency policy");
     port_.setPortClient(this);
 }
@@ -334,7 +341,7 @@ Processor::tryAdvance()
     } else {
         ++pc_;
     }
-    scheduleAdvance(cfg_.cycle);
+    scheduleAdvance(kCycle);
 }
 
 bool
@@ -363,7 +370,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
     }
 
     // Write-buffer fast paths (Relaxed policy only).
-    if (cfg_.useWriteBuffer) {
+    if (use_write_buffer_) {
         if (kind == AccessKind::DataWrite) {
             std::uint64_t id = nextId();
             OpRecord rec;
@@ -427,7 +434,7 @@ Processor::issueMemOp(const Instruction &insn, StallReason *why)
         *why = StallReason::SameAddr;
         return false; // same-address ordering (condition 1)
     }
-    if (outstanding_ >= cfg_.maxOutstanding) {
+    if (outstanding_ >= kMaxOutstanding) {
         *why = StallReason::BufferFull;
         return false;
     }

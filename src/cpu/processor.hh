@@ -38,20 +38,10 @@ class TraceSink;
 /** Processor configuration. */
 struct ProcessorConfig
 {
-    /** Enable the store buffer (reads pass pending writes). Only legal
-     * when the policy allows it. */
-    bool useWriteBuffer = false;
-
     /** Minimum residence of a write in the buffer before it drains to the
      * memory system (models waiting for an idle bus slot); this is what
      * actually lets a subsequent read overtake the write. */
     Tick wbDrainDelay = 6;
-
-    /** Max memory ops issued to the port and not yet committed. */
-    int maxOutstanding = 8;
-
-    /** Cycle time: one instruction dispatched per cycle. */
-    Tick cycle = 1;
 
     bool operator==(const ProcessorConfig &) const = default;
 };
@@ -60,9 +50,11 @@ struct ProcessorConfig
 class Processor : public CacheClient
 {
   public:
+    /** @param write_buffer enable the store buffer (reads pass pending
+     * writes); only legal when @p policy allows it. */
     Processor(EventQueue &eq, StatSet &stats, ProcId id,
               const Program &program, MemPort &port,
-              PolicyKind policy, ExecutionTrace *trace,
+              PolicyKind policy, bool write_buffer, ExecutionTrace *trace,
               const ProcessorConfig &cfg);
 
     /** Kick off execution (schedules the first dispatch). */
@@ -170,6 +162,7 @@ class Processor : public CacheClient
     const Program *program_;
     MemPort &port_;
     PolicyKind policy_;
+    bool use_write_buffer_;
     ExecutionTrace *trace_;
     ProcessorConfig cfg_;
     std::string name_;

@@ -25,15 +25,8 @@ class TraceSink;
 class MemoryModule
 {
   public:
-    struct Config
-    {
-        Tick serviceLatency = 10; ///< cycles to service one request
-
-        bool operator==(const Config &) const = default;
-    };
-
     MemoryModule(EventQueue &eq, Interconnect &net, StatSet &stats,
-                 NodeId node, const Config &cfg);
+                 NodeId node);
 
     /** Handle an incoming request (attached to the interconnect). */
     void handle(const Msg &msg);
@@ -61,7 +54,6 @@ class MemoryModule
     Interconnect &net_;
     StatSet &stats_;
     NodeId node_;
-    Config cfg_;
     StatHandle stat_requests_; ///< interned "mem.requests"
     std::map<Addr, Word> store_;
     Tick free_at_ = 0;

@@ -60,20 +60,6 @@ badLine(int lineno, const std::string &why)
                              ": " + why);
 }
 
-/** The report stores transitions by name; the analyses need the enum
- * back. Returns false for protocols this binary does not know. */
-bool
-parseProtocolName(const std::string &name, ProtocolKind &out)
-{
-    for (int k = 0; k < kNumProtocolKinds; ++k) {
-        if (name == toString(static_cast<ProtocolKind>(k))) {
-            out = static_cast<ProtocolKind>(k);
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Short column labels for the heatmap grid, LineEvent order. */
 const char *const kEventShort[kNumLineEvents] = {
     "Load", "Store", "Evict", "FillS", "FillE",
@@ -244,7 +230,7 @@ renderHeatmap(std::ostream &os, const StandingCoverage &rep)
     std::set<std::string> unknown;
     for (const auto &[k, n] : rep.transitions) {
         ProtocolKind pk;
-        if (!parseProtocolName(k[0], pk))
+        if (!parseProtocolName(k[0], &pk))
             unknown.insert(k[0]);
     }
 

@@ -1,7 +1,8 @@
 #include "obs/trace_event.hh"
 
-#include <sstream>
 #include <stdexcept>
+
+#include "sim/cli_parse.hh"
 
 namespace wo {
 
@@ -56,12 +57,12 @@ toString(TraceKind k)
 std::uint32_t
 parseTraceFilter(const std::string &list)
 {
+    std::vector<std::string> items;
+    if (!splitCommaList(list, items))
+        throw std::runtime_error("empty item in trace filter '" + list +
+                                 "'");
     std::uint32_t mask = 0;
-    std::istringstream in(list);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (item.empty())
-            continue;
+    for (const std::string &item : items) {
         if (item == "all") {
             mask |= kAllTraceComps;
             continue;
@@ -81,8 +82,6 @@ parseTraceFilter(const std::string &list)
                 "' (expected proc,cache,dir,net,mem,port or all)");
         }
     }
-    if (mask == 0)
-        throw std::runtime_error("empty trace filter");
     return mask;
 }
 

@@ -121,7 +121,8 @@ inline constexpr std::uint32_t kAllTraceComps =
 
 /**
  * Parse a comma-separated component list ("proc,cache,net" or "all")
- * into a filter mask. Throws std::runtime_error on an unknown name.
+ * into a filter mask. Throws std::runtime_error on an unknown name or
+ * an empty item (splitCommaList's rule).
  */
 std::uint32_t parseTraceFilter(const std::string &list);
 

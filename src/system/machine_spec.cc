@@ -2,8 +2,9 @@
 
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "sim/cli_parse.hh"
 
 namespace wo {
 
@@ -213,11 +214,10 @@ parseMachineList(const std::string &csv)
         }
         out.push_back(m);
     };
-    std::istringstream in(csv);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (item.empty())
-            continue;
+    std::vector<std::string> items;
+    if (!splitCommaList(csv, items))
+        throw std::runtime_error("empty item in machine list '" + csv + "'");
+    for (const std::string &item : items) {
         if (item.find('*') == std::string::npos &&
             item.find('?') == std::string::npos) {
             addUnique(&machineOrThrow(item));
@@ -235,8 +235,6 @@ parseMachineList(const std::string &csv)
                                      "' matches no registered machine");
         }
     }
-    if (out.empty())
-        throw std::runtime_error("empty machine list");
     return out;
 }
 

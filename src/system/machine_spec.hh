@@ -106,7 +106,8 @@ const MachineSpec &machineOrThrow(const std::string &name);
  * argument). Each element may be a glob-style pattern (`*` matches any
  * run, `?` one character): `bus-*,net-l2` expands against the registry
  * in listing order, deduplicating. Throws std::runtime_error on an
- * empty list, an unknown name or a pattern matching nothing.
+ * empty item (splitCommaList's rule), an unknown name or a pattern
+ * matching nothing.
  */
 std::vector<const MachineSpec *>
 parseMachineList(const std::string &csv);

@@ -40,27 +40,20 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
         throw std::invalid_argument("cacheLevels > 1 needs caches");
 
     if (cfg_.cached) {
-        CacheConfig ccfg = cfg_.cache;
-        ccfg.protocol = cfg_.protocol;
-        ccfg.syncReadsAsWrites = syncReadsAsWrites(cfg_.policy);
-        ccfg.useReserveBits = useReserveBits(cfg_.policy);
-        DirectoryConfig dcfg = cfg_.dir;
-        dcfg.protocol = cfg_.protocol;
         // Node layout: L1s at [0, n); with an L2 level, L2s at [n, 2n)
         // and directories behind them; otherwise directories at [n, ...).
         NodeId dir_base = cfg_.cacheLevels == 2 ? 2 * nprocs : nprocs;
         for (int d = 0; d < cfg_.numDirs; ++d) {
             dirs_.push_back(std::make_unique<Directory>(
-                eq_, *net_, stats_, dir_base + d, dcfg,
+                eq_, *net_, stats_, dir_base + d, cfg_.protocol,
                 "dir" + std::to_string(d)));
         }
         if (cfg_.cacheLevels == 2) {
-            MidCacheConfig mcfg = cfg_.l2;
-            mcfg.protocol = cfg_.protocol;
             for (ProcId p = 0; p < nprocs; ++p) {
                 mids_.push_back(std::make_unique<MidCache>(
                     eq_, *net_, stats_, nprocs + p, p, dir_base,
-                    cfg_.numDirs, mcfg, "l2cache" + std::to_string(p)));
+                    cfg_.numDirs, cfg_.protocol, cfg_.l2,
+                    "l2cache" + std::to_string(p)));
             }
         }
         for (ProcId p = 0; p < nprocs; ++p) {
@@ -70,13 +63,14 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
                 cfg_.cacheLevels == 2 ? nprocs + p : nprocs;
             int l1_num_dirs = cfg_.cacheLevels == 2 ? 1 : cfg_.numDirs;
             caches_.push_back(std::make_unique<Cache>(
-                eq_, *net_, stats_, p, l1_dir_base, l1_num_dirs, ccfg,
+                eq_, *net_, stats_, p, l1_dir_base, l1_num_dirs,
+                cfg_.protocol, cfg_.policy, cfg_.cache,
                 "cache" + std::to_string(p)));
         }
     } else {
         for (int m = 0; m < cfg_.numMemModules; ++m) {
             mems_.push_back(std::make_unique<MemoryModule>(
-                eq_, *net_, stats_, nprocs + m, cfg_.mem));
+                eq_, *net_, stats_, nprocs + m));
         }
         for (ProcId p = 0; p < nprocs; ++p) {
             uncached_ports_.push_back(std::make_unique<UncachedPort>(
@@ -85,15 +79,13 @@ System::System(const MultiProgram &program, const SystemConfig &cfg)
         }
     }
 
-    ProcessorConfig pcfg = cfg_.proc;
-    pcfg.useWriteBuffer = cfg_.writeBuffer;
     for (ProcId p = 0; p < nprocs; ++p) {
         MemPort &port = cfg_.cached
                             ? static_cast<MemPort &>(*caches_[p])
                             : static_cast<MemPort &>(*uncached_ports_[p]);
         procs_.push_back(std::make_unique<Processor>(
-            eq_, stats_, p, program_.program(p), port, cfg_.policy, &trace_,
-            pcfg));
+            eq_, stats_, p, program_.program(p), port, cfg_.policy,
+            cfg_.writeBuffer, &trace_, cfg_.proc));
     }
 
     // Shares the between-runs install path: initial-value pokes,

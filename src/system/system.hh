@@ -45,8 +45,8 @@ struct SystemConfig
     InterconnectKind interconnect = InterconnectKind::Network;
     PolicyKind policy = PolicyKind::Def2Drf0;
 
-    /** Coherence protocol run by every cache and directory (cached
-     * systems; copied into the cache/dir/L2 configs at build time). */
+    /** Coherence protocol run by every cache, L2 and directory (cached
+     * systems; passed to each at build time). */
     ProtocolKind protocol = ProtocolKind::Msi;
 
     /** Cache hierarchy depth: 1 = private L1 per processor (the seed
@@ -62,8 +62,6 @@ struct SystemConfig
 
     Bus::Config bus;
     GeneralNetwork::Config net;
-    MemoryModule::Config mem;
-    DirectoryConfig dir;
     CacheConfig cache;
     MidCacheConfig l2; ///< per-processor L2 (cacheLevels == 2)
     ProcessorConfig proc;

@@ -9,7 +9,7 @@
 #include <string_view>
 #include <thread>
 
-#include "sim/decimal.hh"
+#include "sim/cli_parse.hh"
 
 namespace wo {
 

@@ -115,7 +115,7 @@ TEST(RelGraph, ShortestCycleWins)
 TEST(Paths, SbHasOnePathPerProcWithBothValues)
 {
     MultiProgram mp = sbProgram();
-    PathSet ps = enumeratePaths(mp, {});
+    PathSet ps = enumeratePaths(mp);
     EXPECT_TRUE(ps.complete);
     ASSERT_EQ(ps.perProc.size(), 2u);
     for (const auto &paths : ps.perProc) {

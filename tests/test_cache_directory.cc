@@ -62,18 +62,21 @@ class ScriptClient : public CacheClient
 class Rig
 {
   public:
-    explicit Rig(int ncaches, CacheConfig ccfg = {})
+    /** The default policy's row (sync reads as writes, reserve bits on)
+     * is the DRF0 example implementation of Section 5. */
+    explicit Rig(int ncaches, CacheConfig ccfg = {},
+                 PolicyKind policy = PolicyKind::Def2Drf0)
     {
         GeneralNetwork::Config ncfg;
         ncfg.base = 3;
         ncfg.jitter = 0; // deterministic
         net = std::make_unique<GeneralNetwork>(eq, stats, ncfg);
         dir = std::make_unique<Directory>(eq, *net, stats, ncaches,
-                                          DirectoryConfig{}, "dir");
+                                          ProtocolKind::Msi, "dir");
         for (int i = 0; i < ncaches; ++i) {
             caches.push_back(std::make_unique<Cache>(
-                eq, *net, stats, i, ncaches, 1, ccfg,
-                "cache" + std::to_string(i)));
+                eq, *net, stats, i, ncaches, 1, ProtocolKind::Msi, policy,
+                ccfg, "cache" + std::to_string(i)));
             clients.push_back(std::make_unique<ScriptClient>());
             caches[i]->setPortClient(clients[i].get());
         }
@@ -387,11 +390,10 @@ TEST(Protocol, SilentDropOfSharedLineStaysCoherent)
 TEST(Protocol, SyncReadAsWriteVsAsRead)
 {
     // Under the DRF0 example implementation, a Test procures the line
-    // exclusively; under the refinement it is a plain read.
-    for (bool as_write : {true, false}) {
-        CacheConfig ccfg;
-        ccfg.syncReadsAsWrites = as_write;
-        Rig rig(1, ccfg);
+    // exclusively; under the refinement (Def2-DRF1) it is a plain read.
+    for (PolicyKind pol : {PolicyKind::Def2Drf0, PolicyKind::Def2Drf1}) {
+        bool as_write = pol == PolicyKind::Def2Drf0;
+        Rig rig(1, {}, pol);
         rig.dir->poke(9, 1);
         rig.caches[0]->access(rig.op(1, AccessKind::SyncRead, 9));
         rig.run();

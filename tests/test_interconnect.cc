@@ -133,7 +133,7 @@ TEST(MemoryModule, ServicesReadsWritesRmw)
     GeneralNetwork::Config ncfg;
     ncfg.jitter = 0;
     GeneralNetwork net(eq, stats, ncfg);
-    MemoryModule mem(eq, net, stats, 1, {});
+    MemoryModule mem(eq, net, stats, 1);
     std::vector<Msg> responses;
     net.attach(0, [&](const Msg &m) { responses.push_back(m); });
 
@@ -170,9 +170,7 @@ TEST(MemoryModule, SerializesServiceTime)
     ncfg.base = 1;
     ncfg.jitter = 0;
     GeneralNetwork net(eq, stats, ncfg);
-    MemoryModule::Config mcfg;
-    mcfg.serviceLatency = 10;
-    MemoryModule mem(eq, net, stats, 1, mcfg);
+    MemoryModule mem(eq, net, stats, 1); // 10-tick service latency
     std::vector<Tick> resp_times;
     net.attach(0, [&](const Msg &) { resp_times.push_back(eq.now()); });
     for (int i = 0; i < 3; ++i) {

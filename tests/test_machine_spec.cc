@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the named machine registry: lookup and list parsing
- * diagnostics, and the MachineSpec -> SystemConfig field mapping every
- * tool, bench and example now routes through.
+ * diagnostics (with the shared comma-list splitter), and the
+ * MachineSpec -> SystemConfig field mapping every tool, bench and
+ * example now routes through.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "sim/cli_parse.hh"
 #include "system/machine_spec.hh"
 
 namespace wo {
@@ -69,6 +73,25 @@ TEST(MachineRegistry, ParseMachineListRejectsEmptyAndUnknown)
     EXPECT_THROW(parseMachineList(""), std::runtime_error);
     EXPECT_THROW(parseMachineList(","), std::runtime_error);
     EXPECT_THROW(parseMachineList("bus,nope"), std::runtime_error);
+    // An empty item is an error wherever it sits.
+    EXPECT_THROW(parseMachineList("bus,"), std::runtime_error);
+    EXPECT_THROW(parseMachineList(",bus"), std::runtime_error);
+    EXPECT_THROW(parseMachineList("bus,,net"), std::runtime_error);
+}
+
+TEST(CommaList, SplitsItemsAndRejectsEmptyOnes)
+{
+    std::vector<std::string> items{"kept"};
+    ASSERT_TRUE(splitCommaList("bus", items));
+    EXPECT_EQ(items, std::vector<std::string>{"bus"});
+    ASSERT_TRUE(splitCommaList("bus,net-*,a b", items));
+    EXPECT_EQ(items, (std::vector<std::string>{"bus", "net-*", "a b"}));
+    for (const char *bad : {"", ",", "bus,", ",bus", "bus,,net", ",,"}) {
+        EXPECT_FALSE(splitCommaList(bad, items)) << bad;
+        // A rejected list leaves the output untouched.
+        EXPECT_EQ(items, (std::vector<std::string>{"bus", "net-*", "a b"}))
+            << bad;
+    }
 }
 
 TEST(MachineRegistry, ParseMachineListExpandsGlobPatterns)

@@ -62,9 +62,9 @@ struct Harness
 {
     Harness(Program prog, PolicyKind pol,
             ProcessorConfig pcfg = {}, Tick commit_lat = 5,
-            Tick gp_extra = 0)
+            Tick gp_extra = 0, bool write_buffer = false)
         : program(std::move(prog)), port(eq, commit_lat, gp_extra),
-          proc(eq, stats, 0, program, port, pol, &trace, pcfg)
+          proc(eq, stats, 0, program, port, pol, write_buffer, &trace, pcfg)
     {}
 
     bool
@@ -195,9 +195,8 @@ TEST(Processor, WriteBufferForwardsToReads)
     b.store(5, 9).load(0, 5).halt();
     PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, pcfg, 5, 0, /*write_buffer=*/true);
     ASSERT_TRUE(h.run());
     EXPECT_EQ(h.proc.registers()[0], 9u);
     EXPECT_GT(h.stats.get("proc0.wb_forwards"), 0u);
@@ -209,9 +208,8 @@ TEST(Processor, WriteBufferLetsReadsPassWrites)
     b.store(5, 9).load(0, 6).halt();
     PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, pcfg, 5, 0, /*write_buffer=*/true);
     ASSERT_TRUE(h.run());
     // The read reached the port before the buffered write drained.
     ASSERT_EQ(h.port.requests.size(), 2u);
@@ -225,9 +223,8 @@ TEST(Processor, SyncDrainsWriteBuffer)
     b.store(5, 9).unset(9, 1).halt();
     PolicyKind pol = PolicyKind::Relaxed;
     ProcessorConfig pcfg;
-    pcfg.useWriteBuffer = true;
     pcfg.wbDrainDelay = 50;
-    Harness h(b.build(), pol, pcfg, 5, 0);
+    Harness h(b.build(), pol, pcfg, 5, 0, /*write_buffer=*/true);
     ASSERT_TRUE(h.run());
     ASSERT_EQ(h.port.requests.size(), 2u);
     // The sync reached the port only after the buffered write drained.

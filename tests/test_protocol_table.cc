@@ -225,19 +225,20 @@ TEST(ProtocolTable, MesifInstallsReadFillsInForward)
               LineAction::RelinquishClean);
 }
 
-TEST(ProtocolTable, ParseProtocolRoundTripsAndThrowsOnUnknown)
+TEST(ProtocolTable, ParseProtocolNameRoundTripsAndRejectsOthers)
 {
-    for (ProtocolKind k : kAll)
-        EXPECT_EQ(parseProtocol(toString(k)), k);
-    EXPECT_EQ(parseProtocol("MESI"), ProtocolKind::Mesi);
-    EXPECT_EQ(parseProtocol("MoEsI"), ProtocolKind::Moesi);
-    try {
-        parseProtocol("mosi");
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        std::string what = e.what();
-        for (ProtocolKind k : kAll)
-            EXPECT_NE(what.find(toString(k)), std::string::npos) << what;
+    for (ProtocolKind k : kAll) {
+        ProtocolKind parsed = k == ProtocolKind::Msi ? ProtocolKind::Mesi
+                                                     : ProtocolKind::Msi;
+        ASSERT_TRUE(parseProtocolName(toString(k), &parsed)) << toString(k);
+        EXPECT_EQ(parsed, k);
+    }
+    // Names are matched exactly, as toString prints them.
+    for (const char *bad : {"mosi", "MESI", "MoEsI", "", "msi "}) {
+        ProtocolKind untouched = ProtocolKind::Mesif;
+        EXPECT_FALSE(parseProtocolName(bad, &untouched))
+            << '"' << bad << '"';
+        EXPECT_EQ(untouched, ProtocolKind::Mesif);
     }
 }
 

@@ -202,45 +202,19 @@ TEST(SystemLifecycle, EveryStructuralFieldBreaksCompatibility)
         {"bus.occupancy", [](SystemConfig &c) { ++c.bus.occupancy; }},
         {"net.base", [](SystemConfig &c) { ++c.net.base; }},
         {"net.jitter", [](SystemConfig &c) { ++c.net.jitter; }},
-        {"mem.serviceLatency",
-         [](SystemConfig &c) { ++c.mem.serviceLatency; }},
-        {"dir.protocol",
-         [](SystemConfig &c) { c.dir.protocol = ProtocolKind::Mesi; }},
-        {"dir.latency", [](SystemConfig &c) { ++c.dir.latency; }},
-        {"cache.protocol",
-         [](SystemConfig &c) { c.cache.protocol = ProtocolKind::Mesi; }},
         {"cache.numSets", [](SystemConfig &c) { ++c.cache.numSets; }},
         {"cache.ways", [](SystemConfig &c) { ++c.cache.ways; }},
-        {"cache.hitLatency", [](SystemConfig &c) { ++c.cache.hitLatency; }},
         {"cache.invApplyDelay",
          [](SystemConfig &c) { ++c.cache.invApplyDelay; }},
-        {"cache.syncReadsAsWrites",
-         [](SystemConfig &c) {
-             c.cache.syncReadsAsWrites = !c.cache.syncReadsAsWrites;
-         }},
-        {"cache.useReserveBits",
-         [](SystemConfig &c) {
-             c.cache.useReserveBits = !c.cache.useReserveBits;
-         }},
         {"cache.maxMissesWhileReserved",
          [](SystemConfig &c) { ++c.cache.maxMissesWhileReserved; }},
         {"cache.epochReserveClearing",
          [](SystemConfig &c) {
              c.cache.epochReserveClearing = !c.cache.epochReserveClearing;
          }},
-        {"l2.protocol",
-         [](SystemConfig &c) { c.l2.protocol = ProtocolKind::Mesi; }},
         {"l2.numSets", [](SystemConfig &c) { ++c.l2.numSets; }},
         {"l2.ways", [](SystemConfig &c) { ++c.l2.ways; }},
-        {"l2.latency", [](SystemConfig &c) { ++c.l2.latency; }},
-        {"proc.useWriteBuffer",
-         [](SystemConfig &c) {
-             c.proc.useWriteBuffer = !c.proc.useWriteBuffer;
-         }},
         {"proc.wbDrainDelay", [](SystemConfig &c) { ++c.proc.wbDrainDelay; }},
-        {"proc.maxOutstanding",
-         [](SystemConfig &c) { ++c.proc.maxOutstanding; }},
-        {"proc.cycle", [](SystemConfig &c) { ++c.proc.cycle; }},
         {"warmCaches", [](SystemConfig &c) { c.warmCaches = !c.warmCaches; }},
     };
     TraceBuffer sink;

@@ -443,6 +443,10 @@ TEST(TraceObs, ParseTraceFilter)
     EXPECT_THROW(parseTraceFilter("bogus"), std::runtime_error);
     EXPECT_THROW(parseTraceFilter("log"), std::runtime_error);
     EXPECT_THROW(parseTraceFilter(""), std::runtime_error);
+    // An empty item is an error wherever it sits.
+    EXPECT_THROW(parseTraceFilter("proc,"), std::runtime_error);
+    EXPECT_THROW(parseTraceFilter(",proc"), std::runtime_error);
+    EXPECT_THROW(parseTraceFilter("proc,,cache"), std::runtime_error);
 }
 
 TEST(TraceObs, BufferMaskFiltersComponents)

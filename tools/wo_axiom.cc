@@ -37,6 +37,7 @@
 #include "litmus/compiler.hh"
 #include "litmus/expect.hh"
 #include "litmus/runner.hh"
+#include "sim/cli_parse.hh"
 
 namespace {
 
@@ -112,10 +113,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--model=", 0) == 0) {
+            std::vector<std::string> items;
+            if (!splitCommaList(arg.substr(8), items))
+                return usage(std::cerr);
             models.clear();
-            std::istringstream in(arg.substr(8));
-            std::string item;
-            while (std::getline(in, item, ',')) {
+            for (const std::string &item : items) {
                 const axiom::AxiomaticModel *m =
                     axiom::findAxiomModel(item);
                 if (!m) {
@@ -125,8 +127,6 @@ main(int argc, char **argv)
                 }
                 models.push_back(m);
             }
-            if (models.empty())
-                return usage(std::cerr);
         } else if (arg == "--list-models") {
             for (const axiom::AxiomaticModel *m : axiom::axiomModels()) {
                 std::cout << m->name() << "\t" << m->summary() << "\n";

@@ -52,14 +52,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "litmus/runner.hh"
-#include "sim/decimal.hh"
+#include "sim/cli_parse.hh"
 #include "workload/campaign.hh"
 
 namespace {
@@ -86,16 +85,17 @@ usage(std::ostream &os)
 bool
 parsePolicies(const std::string &list, std::vector<PolicyKind> &out)
 {
+    std::vector<std::string> items;
+    if (!splitCommaList(list, items))
+        return false;
     out.clear();
-    std::istringstream in(list);
-    std::string item;
-    while (std::getline(in, item, ',')) {
+    for (const std::string &item : items) {
         PolicyKind kind;
         if (!parsePolicyName(item, &kind))
             return false;
         out.push_back(kind);
     }
-    return !out.empty();
+    return true;
 }
 
 } // namespace

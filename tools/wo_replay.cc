@@ -52,7 +52,7 @@
 #include "replay/system_replay.hh"
 #include "replay/trace_format.hh"
 #include "replay/trace_gen.hh"
-#include "sim/decimal.hh"
+#include "sim/cli_parse.hh"
 #include "system/machine_spec.hh"
 
 namespace {

@@ -35,7 +35,7 @@
 #include "litmus/expect.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_sink.hh"
-#include "sim/decimal.hh"
+#include "sim/cli_parse.hh"
 #include "system/machine_spec.hh"
 #include "system/system.hh"
 
